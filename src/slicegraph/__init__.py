@@ -32,24 +32,16 @@ from .spectral import (
     spectral_filter_oracle,
 )
 from .model import (
-    ChebLayer,
-    GraphConvLayer,
     GraphOperatorCache,
-    Head,
     ModelParams,
     SampleGraph,
     Variant,
     aggregate_sum,
     bce_loss,
-    cheb_layer_forward,
-    gnn_param_count,
-    graphconv_layer_forward,
     init_params,
     model_forward,
-    param_tensors,
     prepare_graph,
     sigmoid,
-    with_tensors,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradients import (

@@ -5,13 +5,15 @@ Layout (all integers little-endian u32, floats little-endian f64):
     magic   4 bytes, b"CTGC"
     version u32 (currently 1)
     n_labels, d, K, n_layers   u32 each
-    then every parameter tensor in declaration order, each encoded as
-    rank u32, dims (rank x u32), then the row-major f64 payload
+    then every entry of the model's `ParamLayout`, in table order, each
+    encoded as rank u32, dims (rank x u32), then the row-major f64 payload
 
-K >= 1 marks the Chebyshev parameter set; K == 0 marks the spatial
-(graphconv) one, whose layers carry (w_self, w_neigh, bias) instead of
-(thetas, ff_weight, ff_bias). The head tensors follow the layers either
-way. Round-trips are bit-exact because parameters are already f64.
+`ParamLayout.entries` is the one source of tensor order and shapes: the
+writer walks it, and the reader rebuilds it from the header and rejects
+any tensor whose shape disagrees with it. K >= 1 marks the Chebyshev
+parameter set; K == 0 marks the spatial (graphconv) one. The header does
+not carry the head's hidden width, so the reader takes it from the
+stored w1. Round-trips are bit-exact because parameters are already f64.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagicError, TruncatedPayloadError, VersionMismatchError
-from .model import ChebLayer, GraphConvLayer, Head, ModelParams, Variant, param_tensors
+from .model import ModelParams, ParamLayout, Variant
 
 __all__ = ["save_checkpoint", "load_checkpoint", "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION"]
 
@@ -33,14 +35,12 @@ _HEADER = struct.Struct("<4sIIIII")
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    k = params.cheb_k  # 0 encodes the graphconv variant
+    layout = params.layout
     parts = [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                          params.n_labels, params.d, k, params.n_layers)]
-    for tensor in param_tensors(params):
-        arr = np.ascontiguousarray(tensor, dtype="<f8")
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
+                          layout.n_labels, layout.d, layout.cheb_k, layout.n_layers)]
+    for (_, shape), tensor in zip(layout.entries, layout.views(params.flat)):
+        parts.append(struct.pack(f"<{1 + len(shape)}I", len(shape), *shape))
+        parts.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -93,27 +93,30 @@ def load_checkpoint(path) -> ModelParams:
     d = reader.u32()
     k = reader.u32()
     n_layers = reader.u32()
-    if n_labels < 1 or d < 1 or n_layers < 1:
+    # each layer's tensors take at least one 4-byte rank field apiece, so
+    # the file size bounds n_layers before the layout table is built
+    if n_labels < 1 or d < 1 or n_layers < 1 or n_layers > len(data) // 4:
         raise TruncatedPayloadError(
             f"implausible header: n_labels={n_labels}, d={d}, n_layers={n_layers}"
         )
     variant = Variant.CHEB if k >= 1 else Variant.GRAPHCONV
 
-    layers = []
-    for _ in range(n_layers):
-        if variant is Variant.CHEB:
-            layers.append(ChebLayer(reader.tensor(), reader.tensor(), reader.tensor()))
-        else:
-            layers.append(GraphConvLayer(reader.tensor(), reader.tensor(), reader.tensor()))
-    head = Head(reader.tensor(), reader.tensor(), reader.tensor(), reader.tensor())
+    # Tensor count and order do not depend on the head's hidden width,
+    # which only the stored w1 carries.
+    header_layout = ParamLayout(variant, d, n_labels, n_layers, k, hidden=1)
+    tensors = [reader.tensor() for _ in header_layout.entries]
     if not reader.done():
         raise TruncatedPayloadError(
             f"{len(reader.data) - reader.offset} unexpected trailing bytes"
         )
-
-    params = ModelParams(tuple(layers), head)
-    if params.d != d or params.n_labels != n_labels or params.cheb_k != k:
-        raise TruncatedPayloadError(
-            "checkpoint header disagrees with stored tensor shapes"
-        )
-    return params
+    w1 = tensors[[name for name, _ in header_layout.entries].index("w1")]
+    if w1.ndim != 2 or w1.shape[1] < 1:
+        raise TruncatedPayloadError(f"head w1 must be (d, hidden), got shape {w1.shape}")
+    layout = ParamLayout(variant, d, n_labels, n_layers, k, hidden=w1.shape[1])
+    for index, ((name, shape), tensor) in enumerate(zip(layout.entries, tensors)):
+        if tensor.shape != shape:
+            raise TruncatedPayloadError(
+                f"tensor {index} ({name}) has shape {tensor.shape}; the header's "
+                f"layout wants {shape}"
+            )
+    return ModelParams(layout, np.concatenate([t.ravel() for t in tensors]))

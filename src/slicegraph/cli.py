@@ -72,6 +72,7 @@ class Settings:
     shift_mode: str
     grid: AblationGrid
     micro: bool
+    q_full: bool  # q resolves to the largest volume's n_nodes - 1
 
 
 def _load_config(path) -> dict:
@@ -114,8 +115,8 @@ def build_settings(args) -> Settings:
             beta2 = float(raw.get("beta2", train_cfg.betas[1]))
             train_cfg = replace(train_cfg, betas=(beta1, beta2))
 
-        q_raw = _pick(args, "q", raw, 4)
-        q = resolve_q(_parse_q(q_raw), task.n_nodes)
+        q_raw = _parse_q(_pick(args, "q", raw, 4))
+        q = resolve_q(q_raw, task.n_nodes)
         weight_fn = WeightFn(_pick(args, "weight_fn", raw, WeightFn.INVERSE_DM))
         graph = GraphConfig(q=q, weight_fn=weight_fn)
         variant = Variant(_pick(args, "variant", raw, Variant.CHEB))
@@ -144,7 +145,8 @@ def build_settings(args) -> Settings:
 
     micro = bool(getattr(args, "micro", False) or raw.get("micro", False))
     return Settings(task=task, train=train_cfg, graph=graph, variant=variant,
-                    shifts=shifts, shift_mode=shift_mode, grid=grid, micro=micro)
+                    shifts=shifts, shift_mode=shift_mode, grid=grid, micro=micro,
+                    q_full=q_raw == "full")
 
 
 def _parse_q(value):
@@ -194,11 +196,17 @@ def _require_out(args) -> Path:
     return out
 
 
-def _load_splits(data_dir) -> tuple[list, list, list]:
+def _load_splits(settings: Settings, data_dir) -> tuple[Settings, list, list, list]:
+    """The three splits of a gen-data directory, and the settings with
+    `q=full` resolved against the largest volume loaded."""
     base = Path(data_dir)
-    return (read_dataset(base / "train"),
-            read_dataset(base / "val"),
-            read_dataset(base / "test"))
+    splits = (read_dataset(base / "train"),
+              read_dataset(base / "val"),
+              read_dataset(base / "test"))
+    if settings.q_full:
+        n_max = max(s.features.shape[0] for split in splits for s in split)
+        settings = replace(settings, graph=replace(settings.graph, q=resolve_q("full", n_max)))
+    return (settings, *splits)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ def cmd_train(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
     if getattr(args, "data", None):
-        train_set, val_set, test_set = _load_splits(args.data)
+        settings, train_set, val_set, test_set = _load_splits(settings, args.data)
     else:
         train_set, val_set, test_set = generate_task(settings.task)
 
@@ -244,7 +252,7 @@ def cmd_eval(args) -> int:
     settings = build_settings(args)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "data", None):
-        _, val_set, test_set = _load_splits(args.data)
+        settings, _, val_set, test_set = _load_splits(settings, args.data)
     else:
         _, val_set, test_set = generate_task(settings.task)
 

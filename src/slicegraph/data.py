@@ -261,8 +261,18 @@ def write_dataset(directory, samples) -> None:
 
 
 def read_dataset(directory) -> list[Sample]:
+    """Every feature file in `directory`, in name order. All must share the
+    first file's feature width d and label count; the first file that
+    does not raises BinaryFormatError."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.ctgf"))
     if not paths:
         raise FileNotFoundError(f"no .ctgf files in {directory}")
-    return [read_features(p) for p in paths]
+    samples = [read_features(p) for p in paths]
+    d, n_labels = samples[0].features.shape[1], samples[0].labels.size
+    for path, sample in zip(paths, samples):
+        if (sample.features.shape[1], sample.labels.size) != (d, n_labels):
+            raise BinaryFormatError(
+                f"{path}: d={sample.features.shape[1]}, n_labels={sample.labels.size}; "
+                f"{paths[0].name} has d={d}, n_labels={n_labels}")
+    return samples

@@ -11,7 +11,6 @@ import numpy as np
 
 from .graph import GraphSpec, WeightFn
 from .model import (
-    ChebLayer,
     ModelParams,
     SampleGraph,
     Variant,
@@ -19,10 +18,8 @@ from .model import (
     forward_trace,
     init_params,
     model_forward,
-    param_tensors,
     prepare_graph,
     sigmoid,
-    with_tensors,
 )
 
 __all__ = [
@@ -66,8 +63,8 @@ def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def backward(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
-             params: ModelParams) -> tuple[float, list[np.ndarray]]:
-    """Loss and d(loss)/d(parameter) for every tensor, in declaration order.
+             params: ModelParams) -> tuple[float, np.ndarray]:
+    """Loss and d(loss)/d(params.flat), one flat vector in the same layout.
 
     The loss value is the same forward computation `model_forward` runs,
     bit for bit.
@@ -75,62 +72,61 @@ def backward(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
     logits, trace = forward_trace(graph, h, params)
     loss = bce_loss(logits, labels)
 
+    grad = np.zeros(params.layout.size)
+    layer_grads, head_grad = params.layout.group(grad)
+
     head = params.head
     d_logits = bce_grad_logits(logits, labels)
-    d_w2 = np.outer(trace.head_act, d_logits)
-    d_b2 = d_logits.copy()
-    d_act = d_logits @ head.w2.T
+    head_grad["w2"][...] = np.outer(trace.head_act, d_logits)
+    head_grad["b2"][...] = d_logits
+    d_act = d_logits @ head["w2"].T
     d_pre = d_act * (trace.head_pre > 0)
-    d_w1 = np.outer(trace.pooled, d_pre)
-    d_b1 = d_pre.copy()
-    d_pooled = d_pre @ head.w1.T
+    head_grad["w1"][...] = np.outer(trace.pooled, d_pre)
+    head_grad["b1"][...] = d_pre
+    d_pooled = d_pre @ head["w1"].T
 
     # Sum pooling broadcasts the pooled gradient back to every node row.
     n_nodes = graph.adjacency.shape[0]
     dz = np.tile(d_pooled, (n_nodes, 1))
 
-    reversed_layer_grads: list[list[np.ndarray]] = []
-    for layer, layer_trace in zip(reversed(params.layers), reversed(trace.layer_traces)):
-        if isinstance(layer, ChebLayer):
+    cheb = params.variant is Variant.CHEB
+    for layer, layer_grad, layer_trace in zip(
+            reversed(params.layers), reversed(layer_grads), reversed(trace.layer_traces)):
+        if cheb:
             basis, filtered, pre = layer_trace
             d_pre_l = dz * (pre > 0)
-            d_ff_w = filtered.T @ d_pre_l
-            d_ff_b = d_pre_l.sum(axis=0)
-            d_filtered = d_pre_l @ layer.ff_weight.T
+            layer_grad["ff_weight"][...] = filtered.T @ d_pre_l
+            layer_grad["ff_bias"][...] = d_pre_l.sum(axis=0)
+            d_filtered = d_pre_l @ layer["ff_weight"].T
 
-            order = layer.thetas.shape[0]
-            d_thetas = np.stack([basis[k].T @ d_filtered for k in range(order)])
+            thetas = layer["thetas"]
+            order = thetas.shape[0]
+            for k in range(order):
+                layer_grad["thetas"][k] = basis[k].T @ d_filtered
 
             # Adjoint of the three-term recurrence. g[k] holds the gradient
             # reaching T_k(lhat) X; lhat is symmetric so its transpose is itself.
             lhat_m = graph.lhat.values
-            g = [d_filtered @ layer.thetas[k].T for k in range(order)]
+            g = [d_filtered @ thetas[k].T for k in range(order)]
             for k in range(order - 1, 1, -1):
                 g[k - 1] += 2.0 * (lhat_m @ g[k])
                 g[k - 2] -= g[k]
             if order > 1:
                 g[0] += lhat_m @ g[1]
             dz = g[0]
-            reversed_layer_grads.append([d_thetas, d_ff_w, d_ff_b])
         else:
             z_in, neigh, pre = layer_trace
             d_pre_l = dz * (pre > 0)
-            d_w_self = z_in.T @ d_pre_l
-            d_w_neigh = neigh.T @ d_pre_l
-            d_bias = d_pre_l.sum(axis=0)
+            layer_grad["w_self"][...] = z_in.T @ d_pre_l
+            layer_grad["w_neigh"][...] = neigh.T @ d_pre_l
+            layer_grad["bias"][...] = d_pre_l.sum(axis=0)
             # adjacency is symmetric, so A^T collapses to A here
-            dz = d_pre_l @ layer.w_self.T + graph.adjacency @ (d_pre_l @ layer.w_neigh.T)
-            reversed_layer_grads.append([d_w_self, d_w_neigh, d_bias])
-
-    grads: list[np.ndarray] = []
-    for layer_grads in reversed(reversed_layer_grads):
-        grads.extend(layer_grads)
-    grads.extend([d_w1, d_b1, d_w2, d_b2])
-    return loss, grads
+            dz = d_pre_l @ layer["w_self"].T + graph.adjacency @ (d_pre_l @ layer["w_neigh"].T)
+    return loss, grad
 
 
-def batch_backward(items, params: ModelParams) -> tuple[float, list[np.ndarray]]:
-    """Mean loss and mean gradients over (graph, features, labels) triples.
+def batch_backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
+    """Mean loss and mean flat gradient over (graph, features, labels) triples.
 
     Accumulation follows the given order, so results are deterministic.
     """
@@ -138,70 +134,64 @@ def batch_backward(items, params: ModelParams) -> tuple[float, list[np.ndarray]]
     if not items:
         raise ValueError("batch must contain at least one sample")
     total_loss = 0.0
-    acc: list[np.ndarray] | None = None
+    acc: np.ndarray | None = None
     for graph, features, labels in items:
-        loss, grads = backward(graph, features, labels, params)
+        loss, grad = backward(graph, features, labels, params)
         total_loss += loss
         if acc is None:
-            acc = grads
+            acc = grad
         else:
-            for slot, grad in zip(acc, grads):
-                slot += grad
+            acc += grad
     scale = 1.0 / len(items)
-    assert acc is not None
-    return total_loss * scale, [grad * scale for grad in acc]
+    return total_loss * scale, acc * scale
 
 
-def central_difference_grads(loss_fn, tensors: list[np.ndarray],
-                             epsilon: float) -> list[np.ndarray]:
-    """Central differences of `loss_fn(tensors)` w.r.t. every tensor element.
+def central_difference_grads(loss_fn, x: np.ndarray, epsilon: float) -> np.ndarray:
+    """Central differences of `loss_fn(x)` w.r.t. every element of `x`.
 
-    Exact for losses linear in a parameter, up to rounding.
+    `loss_fn` receives a perturbed copy of `x`. Exact for losses linear
+    in a parameter, up to rounding.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    work = [np.array(t, dtype=float) for t in tensors]
-    grads = []
-    for tensor in work:
-        grad = np.zeros_like(tensor)
-        flat = tensor.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + epsilon
-            loss_plus = loss_fn(work)
-            flat[i] = original - epsilon
-            loss_minus = loss_fn(work)
-            flat[i] = original
-            grad_flat[i] = (loss_plus - loss_minus) / (2.0 * epsilon)
-        grads.append(grad)
-    return grads
+    work = np.array(x, dtype=float)
+    flat = work.reshape(-1)
+    grad = np.zeros_like(work)
+    grad_flat = grad.reshape(-1)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + epsilon
+        loss_plus = loss_fn(work)
+        flat[i] = original - epsilon
+        loss_minus = loss_fn(work)
+        flat[i] = original
+        grad_flat[i] = (loss_plus - loss_minus) / (2.0 * epsilon)
+    return grad
 
 
 def finite_diff_grad(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
-                     params: ModelParams, epsilon: float = 1e-5) -> list[np.ndarray]:
-    """Numeric gradient of the sample loss; oracle for `backward`."""
+                     params: ModelParams, epsilon: float = 1e-5) -> np.ndarray:
+    """Numeric gradient of the sample loss w.r.t. `params.flat`; oracle for
+    `backward`."""
 
-    def loss_of(tensors: list[np.ndarray]) -> float:
-        candidate = with_tensors(params, tensors)
+    def loss_of(flat: np.ndarray) -> float:
+        candidate = ModelParams(params.layout, flat)
         return bce_loss(model_forward(graph, h, candidate), labels)
 
-    return central_difference_grads(loss_of, param_tensors(params), epsilon)
+    return central_difference_grads(loss_of, params.flat, epsilon)
 
 
-def gradcheck_rel_error(analytic: list[np.ndarray],
-                        numeric: list[np.ndarray]) -> float:
+def gradcheck_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst |analytic - numeric| / max(1, |analytic|, |numeric|).
 
     The unit floor keeps near-zero gradients from inflating the ratio
     while still catching formula-level mistakes, which are of the same
     magnitude as the gradients themselves.
     """
-    worst = 0.0
-    for a, f in zip(analytic, numeric):
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-        worst = max(worst, float((np.abs(a - f) / denom).max()))
-    return worst
+    a = np.asarray(analytic, dtype=float)
+    f = np.asarray(numeric, dtype=float)
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
+    return float((np.abs(a - f) / denom).max())
 
 
 def run_gradcheck(n_trials: int = 20, seed: int = 0,

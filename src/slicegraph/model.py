@@ -5,14 +5,18 @@ spectral filter stack and a weighted-neighbour-sum ("graphconv")
 baseline. Either way: three conv layers with ReLU, sum pooling over
 nodes, then a two-layer MLP head producing one logit per label.
 
-Parameters live in frozen dataclasses and are treated as immutable;
-updates build new instances via `with_tensors`.
+All parameters live in one contiguous f64 vector whose tensor order and
+shapes come from `ParamLayout`; `ModelParams` holds that vector, read-only,
+with named views of it. Updates build a new vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,22 +30,15 @@ from .spectral import (
 
 __all__ = [
     "Variant",
-    "ChebLayer",
-    "GraphConvLayer",
-    "Head",
+    "ParamLayout",
     "ModelParams",
     "SampleGraph",
     "ForwardTrace",
     "GraphOperatorCache",
     "prepare_graph",
     "init_params",
-    "param_tensors",
-    "with_tensors",
-    "gnn_param_count",
     "relu",
     "sigmoid",
-    "cheb_layer_forward",
-    "graphconv_layer_forward",
     "aggregate_sum",
     "forward_trace",
     "model_forward",
@@ -59,61 +56,108 @@ class Variant(str, Enum):
     GRAPHCONV = "graphconv"
 
 
-@dataclass(frozen=True)
-class ChebLayer:
-    """One spectral layer: Chebyshev filter, then feedforward + ReLU."""
-
-    thetas: np.ndarray     # (K, d, d) filter coefficients
-    ff_weight: np.ndarray  # (d, d)
-    ff_bias: np.ndarray    # (d,)
+_HEAD_TENSORS = 4  # w1, b1, w2, b2: always the last entries
 
 
 @dataclass(frozen=True)
-class GraphConvLayer:
-    """One spatial layer: self + weighted-neighbour-sum transform, ReLU."""
+class ParamLayout:
+    """The one table of parameter tensors.
 
-    w_self: np.ndarray   # (d, d)
-    w_neigh: np.ndarray  # (d, d)
-    bias: np.ndarray     # (d,)
+    `entries` lists (name, shape) in declaration order -- each conv layer
+    in turn, then the head -- and so fixes where every tensor sits in the
+    flat parameter vector. Init, forward/backward, AdamW, the checkpoint
+    and the gradcheck all take tensor order and shapes from here.
+    `cheb_k` is stored as 0 for the spatial variant, which has no filter.
+    """
+
+    variant: Variant
+    d: int
+    n_labels: int
+    n_layers: int
+    cheb_k: int
+    hidden: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
+        if self.variant is Variant.GRAPHCONV:
+            object.__setattr__(self, "cheb_k", 0)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        d, hidden = self.d, self.hidden
+        if self.variant is Variant.CHEB:
+            layer = (("thetas", (self.cheb_k, d, d)), ("ff_weight", (d, d)),
+                     ("ff_bias", (d,)))
+        else:
+            layer = (("w_self", (d, d)), ("w_neigh", (d, d)), ("bias", (d,)))
+        head = (("w1", (d, hidden)), ("b1", (hidden,)),
+                ("w2", (hidden, self.n_labels)), ("b2", (self.n_labels,)))
+        return layer * self.n_layers + head
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(accumulate((math.prod(shape) for _, shape in self.entries),
+                                initial=0))
+
+    @property
+    def size(self) -> int:
+        """Length of the flat parameter vector."""
+        return self._offsets[-1]
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """One view of `flat` per entry, shaped as the entry says."""
+        offsets = self._offsets
+        return [flat[offsets[i]:offsets[i + 1]].reshape(shape)
+                for i, (_, shape) in enumerate(self.entries)]
+
+    def group(self, flat: np.ndarray) -> tuple[tuple[dict, ...], dict]:
+        """Named views of `flat`: one dict per conv layer, then the head's."""
+        named = list(zip((name for name, _ in self.entries), self.views(flat)))
+        n_conv = len(named) - _HEAD_TENSORS
+        width = n_conv // self.n_layers
+        layers = tuple(dict(named[i:i + width]) for i in range(0, n_conv, width))
+        return layers, dict(named[n_conv:])
 
 
-@dataclass(frozen=True)
-class Head:
-    """MLP head d -> hidden -> n_labels with one ReLU in between."""
-
-    w1: np.ndarray  # (d, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, n_labels)
-    b2: np.ndarray  # (n_labels,)
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    layers: tuple
-    head: Head
+    """Every parameter in one contiguous, read-only f64 vector `flat`,
+    ordered by `layout`, with named views of it: `layers[i][name]` for
+    each conv layer and `head[name]` for the MLP head.
+
+    `flat` is copied on construction, so later writes to the caller's
+    array never reach the model.
+    """
+
+    def __init__(self, layout: ParamLayout, flat) -> None:
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != (layout.size,):
+            raise ValueError(
+                f"expected {layout.size} parameters, got shape {flat.shape}")
+        flat.flags.writeable = False
+        self.layout = layout
+        self.flat = flat
+        self.layers, self.head = layout.group(flat)
 
     @property
     def variant(self) -> Variant:
-        return Variant.CHEB if isinstance(self.layers[0], ChebLayer) else Variant.GRAPHCONV
+        return self.layout.variant
 
     @property
     def d(self) -> int:
-        return self.head.w1.shape[0]
+        return self.layout.d
 
     @property
     def n_labels(self) -> int:
-        return self.head.b2.size
+        return self.layout.n_labels
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return self.layout.n_layers
 
     @property
     def cheb_k(self) -> int:
         """Filter order; 0 for the spatial variant."""
-        if isinstance(self.layers[0], ChebLayer):
-            return self.layers[0].thetas.shape[0]
-        return 0
+        return self.layout.cheb_k
 
 
 @dataclass(frozen=True)
@@ -166,111 +210,28 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def init_params(d: int, n_labels: int, variant: Variant = Variant.CHEB, *,
                 n_layers: int = DEFAULT_N_LAYERS, cheb_k: int = DEFAULT_CHEB_K,
                 head_hidden: int | None = None, seed: int = 0) -> ModelParams:
-    """Seeded init: weights uniform(-s, s) with s = 1/sqrt(fan_in), biases zero."""
+    """Seeded init, drawn entry by entry in layout order: biases (the
+    rank-1 entries) are zero, every other tensor is uniform(-s, s) with
+    s = 1/sqrt(fan_in) and fan_in = shape[-2]."""
     if d < 1 or n_labels < 1 or n_layers < 1 or cheb_k < 1:
         raise ValueError("d, n_labels, n_layers and cheb_k must all be >= 1")
-    variant = Variant(variant)
     hidden = max(1, d // 2) if head_hidden is None else head_hidden
     if hidden < 1:
         raise ValueError(f"head_hidden must be >= 1, got {hidden}")
+    layout = ParamLayout(variant, d, n_labels, n_layers, cheb_k, hidden)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _INIT_STREAM))))
 
-    def uniform(fan_in: int, shape) -> np.ndarray:
-        s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
-    layers = []
-    for _ in range(n_layers):
-        if variant is Variant.CHEB:
-            layers.append(ChebLayer(
-                thetas=uniform(d, (cheb_k, d, d)),
-                ff_weight=uniform(d, (d, d)),
-                ff_bias=np.zeros(d),
-            ))
-        else:
-            layers.append(GraphConvLayer(
-                w_self=uniform(d, (d, d)),
-                w_neigh=uniform(d, (d, d)),
-                bias=np.zeros(d),
-            ))
-    head = Head(
-        w1=uniform(d, (d, hidden)),
-        b1=np.zeros(hidden),
-        w2=uniform(hidden, (hidden, n_labels)),
-        b2=np.zeros(n_labels),
-    )
-    return ModelParams(tuple(layers), head)
-
-
-def param_tensors(params: ModelParams) -> list[np.ndarray]:
-    """All parameter tensors in declaration order (layers first, then head)."""
-    out: list[np.ndarray] = []
-    for layer in params.layers:
-        if isinstance(layer, ChebLayer):
-            out.extend([layer.thetas, layer.ff_weight, layer.ff_bias])
-        else:
-            out.extend([layer.w_self, layer.w_neigh, layer.bias])
-    out.extend([params.head.w1, params.head.b1, params.head.w2, params.head.b2])
-    return out
-
-
-def with_tensors(params: ModelParams, tensors: list[np.ndarray]) -> ModelParams:
-    """Rebuild a ModelParams from tensors in declaration order."""
-    expected = len(param_tensors(params))
-    if len(tensors) != expected:
-        raise ValueError(f"expected {expected} tensors, got {len(tensors)}")
-    it = iter(tensors)
-    layers = []
-    for layer in params.layers:
-        if isinstance(layer, ChebLayer):
-            layers.append(ChebLayer(next(it), next(it), next(it)))
-        else:
-            layers.append(GraphConvLayer(next(it), next(it), next(it)))
-    head = Head(next(it), next(it), next(it), next(it))
-    return ModelParams(tuple(layers), head)
-
-
-def gnn_param_count(params: ModelParams) -> int:
-    """Scalar parameter count of the conv stack (head excluded)."""
-    total = 0
-    for layer in params.layers:
-        if isinstance(layer, ChebLayer):
-            total += layer.thetas.size + layer.ff_weight.size + layer.ff_bias.size
-        else:
-            total += layer.w_self.size + layer.w_neigh.size + layer.bias.size
-    return total
+    flat = np.zeros(layout.size)
+    for (_, shape), tensor in zip(layout.entries, layout.views(flat)):
+        if len(shape) > 1:
+            s = 1.0 / np.sqrt(shape[-2])
+            tensor[...] = rng.uniform(-s, s, size=shape)
+    return ModelParams(layout, flat)
 
 
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
-
-def _cheb_layer_pre(lhat, z: np.ndarray, layer: ChebLayer):
-    basis = cheb_basis(lhat, z, layer.thetas.shape[0])
-    filtered = _filter_sum(basis, layer.thetas)
-    pre = filtered @ layer.ff_weight + layer.ff_bias
-    return basis, filtered, pre
-
-
-def cheb_layer_forward(lhat, z: np.ndarray, layer: ChebLayer) -> np.ndarray:
-    """ReLU(feedforward(Chebyshev filter(z)))."""
-    _, _, pre = _cheb_layer_pre(lhat, z, layer)
-    return relu(pre)
-
-
-def _graphconv_layer_pre(adjacency: np.ndarray, z: np.ndarray, layer: GraphConvLayer):
-    neigh = adjacency @ z
-    pre = z @ layer.w_self + neigh @ layer.w_neigh + layer.bias
-    return neigh, pre
-
-
-def graphconv_layer_forward(adjacency: np.ndarray, z: np.ndarray,
-                            layer: GraphConvLayer) -> np.ndarray:
-    """ReLU(z W_self + (A z) W_neigh + bias): weighted neighbour sum."""
-    z = np.asarray(z, dtype=float)
-    _, pre = _graphconv_layer_pre(np.asarray(adjacency, dtype=float), z, layer)
-    return relu(pre)
-
 
 def aggregate_sum(z: np.ndarray) -> np.ndarray:
     """Permutation-invariant readout: column sums over nodes."""
@@ -298,22 +259,28 @@ def forward_trace(graph: SampleGraph, h: np.ndarray, params: ModelParams):
         raise ValueError(
             f"features must be (n_nodes, {params.d}), got shape {np.shape(h)}"
         )
+    cheb = params.variant is Variant.CHEB
     traces = []
     for layer in params.layers:
-        if isinstance(layer, ChebLayer):
-            basis, filtered, pre = _cheb_layer_pre(graph.lhat, z, layer)
+        if cheb:
+            # ReLU(feedforward(Chebyshev filter(z)))
+            thetas = layer["thetas"]
+            basis = cheb_basis(graph.lhat, z, thetas.shape[0])
+            filtered = _filter_sum(basis, thetas)
+            pre = filtered @ layer["ff_weight"] + layer["ff_bias"]
             traces.append((basis, filtered, pre))
         else:
-            z_in = z
-            neigh, pre = _graphconv_layer_pre(graph.adjacency, z_in, layer)
-            traces.append((z_in, neigh, pre))
+            # ReLU(z W_self + (A z) W_neigh + bias): weighted neighbour sum
+            neigh = graph.adjacency @ z
+            pre = z @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
+            traces.append((z, neigh, pre))
         z = relu(pre)
 
     pooled = aggregate_sum(z)
     head = params.head
-    head_pre = pooled @ head.w1 + head.b1
+    head_pre = pooled @ head["w1"] + head["b1"]
     head_act = relu(head_pre)
-    logits = head_act @ head.w2 + head.b2
+    logits = head_act @ head["w2"] + head["b2"]
     return logits, ForwardTrace(traces, pooled, head_pre, head_act, logits)
 
 

@@ -18,14 +18,7 @@ import numpy as np
 from .errors import NumericError
 from .gradients import batch_backward
 from .graph import GraphConfig
-from .model import (
-    GraphOperatorCache,
-    ModelParams,
-    Variant,
-    init_params,
-    param_tensors,
-    with_tensors,
-)
+from .model import GraphOperatorCache, ModelParams, Variant, init_params
 from .checkpoint import save_checkpoint
 
 __all__ = [
@@ -97,45 +90,31 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class OptimState:
-    """First/second moment estimates per tensor, plus the step counter."""
+    """First/second moment estimates, laid out like `ModelParams.flat`,
+    plus the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
 def init_optim_state(params: ModelParams) -> OptimState:
-    tensors = param_tensors(params)
-    return OptimState(
-        m=[np.zeros_like(t) for t in tensors],
-        v=[np.zeros_like(t) for t in tensors],
-        step=0,
-    )
+    return OptimState(m=np.zeros(params.layout.size), v=np.zeros(params.layout.size))
 
 
-def adamw_step(params: ModelParams, grads: list[np.ndarray], state: OptimState,
+def adamw_step(params: ModelParams, grads: np.ndarray, state: OptimState,
                lr: float, cfg: TrainConfig) -> tuple[ModelParams, OptimState]:
-    """One update: decoupled decay p <- p - lr*wd*p first, then
-    bias-corrected Adam. Returns fresh params and state."""
+    """One update on the flat vector: decoupled decay p <- p - lr*wd*p
+    first, then bias-corrected Adam. Returns fresh params and state."""
     beta1, beta2 = cfg.betas
     t = state.step + 1
-    bias1 = 1.0 - beta1 ** t
-    bias2 = 1.0 - beta2 ** t
-
-    new_p: list[np.ndarray] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
-    for p, g, m, v in zip(param_tensors(params), grads, state.m, state.v):
-        p = p * (1.0 - lr * cfg.weight_decay)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        new_p.append(p)
-        new_m.append(m)
-        new_v.append(v)
-    return with_tensors(params, new_p), OptimState(new_m, new_v, t)
+    p = params.flat * (1.0 - lr * cfg.weight_decay)
+    m = beta1 * state.m + (1.0 - beta1) * grads
+    v = beta2 * state.v + (1.0 - beta2) * (grads * grads)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return ModelParams(params.layout, p), OptimState(m, v, t)
 
 
 @dataclass
@@ -216,7 +195,7 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
             loss, grads = batch_backward(items, params)
             lr = lr_at(step, cfg)
             if not math.isfinite(loss):
-                norms = [float(np.linalg.norm(g)) for g in grads]
+                norms = [float(np.linalg.norm(g)) for g in params.layout.views(grads)]
                 raise NumericError("training loss is not finite",
                                    step=step, lr=lr, grad_norms=norms)
             params, state = adamw_step(params, grads, state, lr, cfg)

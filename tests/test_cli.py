@@ -2,15 +2,16 @@
 and exit codes (0 ok, 2 config, 3 numeric, 4 I/O)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
-from slicegraph.data import read_dataset
+from slicegraph.data import Sample, read_dataset, write_features
 from slicegraph.graph import WeightFn
-from slicegraph.model import Variant
+from slicegraph.model import Variant, init_params
 
 TINY = {
     "n_nodes": 6, "d": 4, "n_labels": 2,
@@ -91,6 +92,17 @@ class TestTrain:
         assert run_cli("train", "--config", tiny_config,
                        "--data", tmp_path / "nope", "--out", tmp_path / "r") == 4
 
+    def test_mixed_feature_width_is_io_error_before_training(self, tmp_path, tiny_config):
+        data, out = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        narrow = Sample(np.zeros((TINY["n_nodes"], TINY["d"] - 1), dtype=np.float32),
+                        np.zeros(TINY["n_labels"], dtype=np.uint8), 1.5)
+        write_features(data / "train" / "00003.ctgf", narrow)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--out", out) == 4
+        assert not (out / "train_log.ndjson").exists()
+        assert not list(out.glob("*.ctgc"))
+
 
 class TestEval:
     def test_round_trip_from_checkpoint(self, tmp_path, tiny_config, capsys):
@@ -111,6 +123,23 @@ class TestEval:
         bogus.write_bytes(b"XXXX" + b"\x00" * 32)
         assert run_cli("eval", "--config", tiny_config,
                        "--checkpoint", bogus) == 4
+
+    @pytest.mark.parametrize("index, bad_shape", [
+        (4, (4, 3)),     # layer 2 ff_weight
+        (3, (2, 4, 4)),  # layer 2 thetas with K=2 under a K=3 header
+    ])
+    def test_tensor_disagreeing_with_header_is_io_error(
+            self, tmp_path, tiny_config, index, bad_shape):
+        params = init_params(TINY["d"], TINY["n_labels"], Variant.CHEB, seed=0)
+        tensors = list(params.layout.views(params.flat))
+        tensors[index] = np.zeros(bad_shape)
+        parts = [struct.pack("<4sIIIII", b"CTGC", 1, TINY["n_labels"], TINY["d"], 3, 3)]
+        for t in tensors:
+            parts.append(struct.pack(f"<{1 + t.ndim}I", t.ndim, *t.shape))
+            parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        bad = tmp_path / "bad.ctgc"
+        bad.write_bytes(b"".join(parts))
+        assert run_cli("eval", "--config", tiny_config, "--checkpoint", bad) == 4
 
 
 class TestGradcheck:
@@ -282,6 +311,22 @@ class TestConfigHandling:
         settings = build_settings(Args())
         assert settings.graph.q == TINY["n_nodes"] - 1
         assert settings.graph.weight_fn is WeightFn.EXP_DECAY
+
+    def test_q_full_resolves_against_loaded_data(self, tmp_path, tiny_config, capsys):
+        tall = tmp_path / "tall.json"
+        tall.write_text(json.dumps({**TINY, "n_nodes": 40}))
+        data, run = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tall, "--out", data)
+        assert run_cli("train", "--config", tiny_config, "--q", "full",
+                       "--data", data, "--out", run) == 0
+        assert json.loads((run / "config.json").read_text())["q"] == 39
+        # eval resolves "full" the same way
+        for q in ("full", "39"):
+            assert run_cli("eval", "--config", tiny_config, "--q", q, "--data", data,
+                           "--checkpoint", run / "checkpoint.ctgc",
+                           "--out", tmp_path / f"eval-{q}") == 0
+        assert (tmp_path / "eval-full" / "metrics.json").read_bytes() == \
+            (tmp_path / "eval-39" / "metrics.json").read_bytes()
 
     def test_shifts_accept_list_in_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -346,3 +346,12 @@ class TestDatasetDirectory:
         (tmp_path / "empty").mkdir()
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "empty")
+
+    @pytest.mark.parametrize("odd", [{"d": 4}, {"n_labels": 2}])
+    def test_mixed_width_or_label_count_rejected(self, tmp_path, odd):
+        rng = np.random.default_rng(11)
+        samples = [random_sample(rng) for _ in range(4)]
+        samples[2] = random_sample(rng, **odd)
+        write_dataset(tmp_path / "split", samples)
+        with pytest.raises(BinaryFormatError, match="00002.ctgf"):
+            read_dataset(tmp_path / "split")

@@ -20,14 +20,13 @@ from slicegraph.gradients import (
 )
 from slicegraph.graph import GraphSpec, WeightFn
 from slicegraph.model import (
+    ModelParams,
     Variant,
     bce_loss,
     forward_trace,
     init_params,
     model_forward,
-    param_tensors,
     prepare_graph,
-    with_tensors,
 )
 
 
@@ -84,23 +83,24 @@ class TestBackward:
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_gradient_tensor_layout_matches_params(self, variant):
         graph, h, labels, params = toy_problem(variant, seed=2)
-        _, grads = backward(graph, h, labels, params)
-        tensors = param_tensors(params)
-        assert len(grads) == len(tensors)
-        for g, t in zip(grads, tensors):
-            assert g.shape == t.shape
+        _, grad = backward(graph, h, labels, params)
+        assert grad.shape == params.flat.shape
+        # the gradient reads through the same layout as the parameters
+        assert [g.shape for g in params.layout.views(grad)] == \
+            [shape for _, shape in params.layout.entries]
 
     def test_head_bias_gradient_at_saturated_logit(self):
         # zero weights everywhere, final bias 50, one positive label:
         # only the last bias receives gradient, equal to sigmoid(50) - 1
         graph = toy_graph(4, 1)
-        params = init_params(3, 1, Variant.CHEB, seed=0)
-        tensors = [np.zeros_like(t) for t in param_tensors(params)]
-        tensors[-1] = np.array([50.0])
-        params = with_tensors(params, tensors)
+        layout = init_params(3, 1, Variant.CHEB, seed=0).layout
+        flat = np.zeros(layout.size)
+        flat[-1] = 50.0  # b2, the last entry
+        params = ModelParams(layout, flat)
         h = np.random.default_rng(3).normal(size=(4, 3))
-        _, grads = backward(graph, h, np.array([1]), params)
-        assert grads[-1][0] == pytest.approx(-1.928749847963918e-22, rel=1e-12)
+        _, grad = backward(graph, h, np.array([1]), params)
+        assert grad[-1] == pytest.approx(-1.928749847963918e-22, rel=1e-12)
+        assert np.count_nonzero(grad) == 1
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_matches_finite_differences_on_toy_problem(self, variant):
@@ -131,8 +131,7 @@ class TestBatchBackward:
         loss1, grads1 = backward(graph, h1, labels1, params)
         loss2, grads2 = backward(graph, h2, labels2, params)
         assert loss_batch == pytest.approx((loss1 + loss2) / 2.0, rel=1e-15)
-        for gb, g1, g2 in zip(grads_batch, grads1, grads2):
-            np.testing.assert_allclose(gb, (g1 + g2) / 2.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grads_batch, (grads1 + grads2) / 2.0, rtol=0, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         params = init_params(3, 2, Variant.CHEB, seed=0)
@@ -147,19 +146,19 @@ class TestFiniteDifferenceOracle:
         a = rng.normal(size=(4, 3))
         x = rng.normal(size=(4, 3))
 
-        def loss_fn(tensors):
-            return float((a * tensors[0]).sum())
+        def loss_fn(v):
+            return float((a * v).sum())
 
-        (grad,) = central_difference_grads(loss_fn, [x], epsilon=1e-5)
+        grad = central_difference_grads(loss_fn, x, epsilon=1e-5)
         np.testing.assert_allclose(grad, a, rtol=0, atol=1e-10)
 
     def test_quadratic_function(self):
         x = np.array([1.0, -2.0, 0.5])
 
-        def loss_fn(tensors):
-            return float((tensors[0] ** 2).sum())
+        def loss_fn(v):
+            return float((v ** 2).sum())
 
-        (grad,) = central_difference_grads(loss_fn, [x], epsilon=1e-5)
+        grad = central_difference_grads(loss_fn, x, epsilon=1e-5)
         np.testing.assert_allclose(grad, 2.0 * x, rtol=0, atol=1e-9)
 
     def test_dead_parameter_reads_as_zero(self):
@@ -169,28 +168,29 @@ class TestFiniteDifferenceOracle:
         h = np.zeros((4, 3))
         labels = np.array([1, 0])
         numeric = finite_diff_grad(graph, h, labels, params)
-        assert np.abs(numeric[0]).max() <= 1e-9  # first filter tensor
+        first_filter = params.layout.views(numeric)[0]
+        assert np.abs(first_filter).max() <= 1e-9
 
     def test_perturbation_does_not_mutate_inputs(self):
         x = np.ones(3)
         x_copy = x.copy()
-        central_difference_grads(lambda ts: float(ts[0].sum()), [x], epsilon=1e-5)
+        central_difference_grads(lambda v: float(v.sum()), x, epsilon=1e-5)
         np.testing.assert_array_equal(x, x_copy)
 
 
 class TestGradcheckHarness:
     def test_rel_error_uses_unit_floor(self):
-        a = [np.array([1e-9])]
-        b = [np.array([0.0])]
+        a = np.array([1e-9])
+        b = np.array([0.0])
         assert gradcheck_rel_error(a, b) == pytest.approx(1e-9)
 
     def test_rel_error_scales_by_largest_magnitude(self):
-        a = [np.array([200.0])]
-        b = [np.array([100.0])]
+        a = np.array([200.0])
+        b = np.array([100.0])
         assert gradcheck_rel_error(a, b) == pytest.approx(0.5)
 
     def test_rel_error_zero_for_identical(self):
-        g = [np.array([3.0, -4.0]), np.array([[1.0]])]
+        g = np.array([3.0, -4.0, 1.0])
         assert gradcheck_rel_error(g, g) == 0.0
 
     def test_default_tolerance(self):
@@ -220,10 +220,11 @@ class TestGradcheckHarness:
         # the secant oracle is ill-defined; such configurations must be
         # recognised (and redrawn by the harness)
         graph, h, _, params = toy_problem(Variant.CHEB, seed=4)
-        tensors = [t.copy() for t in param_tensors(params)]
-        for i in range(len(params.layers)):
-            tensors[3 * i + 2] = tensors[3 * i + 2] - 100.0  # layer biases
-        dead = with_tensors(params, tensors)
+        flat = np.array(params.flat)
+        layers, _ = params.layout.group(flat)
+        for layer in layers:
+            layer["ff_bias"] -= 100.0
+        dead = ModelParams(params.layout, flat)
         _, trace = forward_trace(graph, h, dead)
         assert np.all(trace.pooled == 0.0)
         assert trace.head_pre[0] == 0.0
@@ -242,19 +243,18 @@ class TestGradientSanity:
         rng = np.random.default_rng(seed)
         variant = Variant.CHEB if seed % 2 == 0 else Variant.GRAPHCONV
         graph, h, labels, params = toy_problem(variant, seed=seed)
-        loss0, grads = backward(graph, h, labels, params)
-        step = 1e-4 / max(max(np.abs(g).max() for g in grads), 1e-12)
-        stepped = with_tensors(params, [
-            t - step * g for t, g in zip(param_tensors(params), grads)])
+        loss0, grad = backward(graph, h, labels, params)
+        step = 1e-4 / max(np.abs(grad).max(), 1e-12)
+        stepped = ModelParams(params.layout, params.flat - step * grad)
         loss1 = bce_loss(model_forward(graph, h, stepped), labels)
         assert loss1 <= loss0 + 1e-12
 
     def test_gradients_vanish_at_exact_fit_limit(self):
         # with a huge correct logit the loss gradient underflows smoothly
         graph = toy_graph(3, 1)
-        params = init_params(2, 1, Variant.CHEB, seed=1)
-        tensors = [np.zeros_like(t) for t in param_tensors(params)]
-        tensors[-1] = np.array([500.0])
-        params = with_tensors(params, tensors)
-        _, grads = backward(graph, np.ones((3, 2)), np.array([1]), params)
-        assert max(np.abs(g).max() for g in grads) < 1e-200
+        layout = init_params(2, 1, Variant.CHEB, seed=1).layout
+        flat = np.zeros(layout.size)
+        flat[-1] = 500.0
+        params = ModelParams(layout, flat)
+        _, grad = backward(graph, np.ones((3, 2)), np.array([1]), params)
+        assert np.abs(grad).max() < 1e-200

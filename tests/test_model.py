@@ -2,6 +2,7 @@
 layout, and checkpoint serialization."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,28 +22,39 @@ from slicegraph.errors import (
 )
 from slicegraph.graph import GraphConfig, GraphSpec, WeightFn, build_adjacency
 from slicegraph.model import (
-    ChebLayer,
-    GraphConvLayer,
     ModelParams,
+    ParamLayout,
     Variant,
     aggregate_sum,
     bce_loss,
-    cheb_layer_forward,
     forward_trace,
-    gnn_param_count,
-    graphconv_layer_forward,
     init_params,
     model_forward,
-    param_tensors,
     prepare_graph,
     relu,
     sigmoid,
-    with_tensors,
 )
 
 
 def spec_of(n, q, weight_fn=WeightFn.CONSTANT, spacing_z=0.015):
     return GraphSpec(n_nodes=n, q=q, spacing_z=spacing_z, weight_fn=weight_fn)
+
+
+def one_layer(variant, d, cheb_k=1, **tensors):
+    """Single-layer params with every entry zero except the hand-set
+    tensors of the conv layer."""
+    layout = ParamLayout(variant, d, n_labels=1, n_layers=1, cheb_k=cheb_k, hidden=1)
+    flat = np.zeros(layout.size)
+    (layer,), _ = layout.group(flat)
+    for name, value in tensors.items():
+        layer[name][...] = value
+    return ModelParams(layout, flat)
+
+
+def layer_output(graph, x, params):
+    """The first conv layer's output, ReLU(pre-activation), via forward_trace."""
+    _, trace = forward_trace(graph, x, params)
+    return relu(trace.layer_traces[0][-1])
 
 
 def random_graph(rng, n_max=12):
@@ -71,60 +83,53 @@ class TestActivations:
 class TestChebLayer:
     def test_zero_input_stays_zero(self):
         graph = prepare_graph(spec_of(4, 2))
-        layer = ChebLayer(thetas=np.ones((3, 5, 5)), ff_weight=np.ones((5, 5)),
-                          ff_bias=np.zeros(5))
-        out = cheb_layer_forward(graph.lhat, np.zeros((4, 5)), layer)
+        params = one_layer(Variant.CHEB, 5, cheb_k=3, thetas=np.ones((3, 5, 5)),
+                           ff_weight=np.ones((5, 5)))
+        out = layer_output(graph, np.zeros((4, 5)), params)
         np.testing.assert_array_equal(out, np.zeros((4, 5)))
 
     def test_identity_composition_passes_positive_features(self):
         # K=1 identity filter + identity feedforward = plain ReLU
         graph = prepare_graph(spec_of(3, 1))
-        layer = ChebLayer(thetas=np.eye(2)[None, :, :], ff_weight=np.eye(2),
-                          ff_bias=np.zeros(2))
+        params = one_layer(Variant.CHEB, 2, thetas=np.eye(2)[None, :, :],
+                           ff_weight=np.eye(2))
         x = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, 0.0]])
-        np.testing.assert_array_equal(
-            cheb_layer_forward(graph.lhat, x, layer), relu(x))
+        np.testing.assert_array_equal(layer_output(graph, x, params), relu(x))
 
     def test_two_node_hand_computed(self):
         graph = prepare_graph(spec_of(2, 1))
-        layer = ChebLayer(thetas=np.ones((2, 1, 1)), ff_weight=np.eye(1),
-                          ff_bias=np.zeros(1))
-        out = cheb_layer_forward(graph.lhat, np.array([[1.0], [0.0]]), layer)
+        params = one_layer(Variant.CHEB, 1, cheb_k=2, thetas=np.ones((2, 1, 1)),
+                           ff_weight=np.eye(1))
+        out = layer_output(graph, np.array([[1.0], [0.0]]), params)
         np.testing.assert_allclose(out, [[1.0], [0.0]], rtol=0, atol=1e-15)
 
 
 class TestGraphConvLayer:
     def test_isolated_self_transform(self):
         # zero neighbour weights leave only the self path
-        adj = build_adjacency(spec_of(3, 1))
-        layer = GraphConvLayer(w_self=2.0 * np.eye(2), w_neigh=np.zeros((2, 2)),
-                               bias=np.zeros(2))
+        graph = prepare_graph(spec_of(3, 1))
+        params = one_layer(Variant.GRAPHCONV, 2, w_self=2.0 * np.eye(2))
         x = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(
-            graphconv_layer_forward(adj, x, layer), relu(2.0 * x))
+        np.testing.assert_array_equal(layer_output(graph, x, params), relu(2.0 * x))
 
     def test_pure_neighbour_pass_swaps_two_nodes(self):
-        adj = build_adjacency(spec_of(2, 1))
-        layer = GraphConvLayer(w_self=np.zeros((2, 2)), w_neigh=np.eye(2),
-                               bias=np.zeros(2))
+        graph = prepare_graph(spec_of(2, 1))
+        params = one_layer(Variant.GRAPHCONV, 2, w_neigh=np.eye(2))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(
-            graphconv_layer_forward(adj, x, layer), [[3.0, 4.0], [1.0, 2.0]])
+            layer_output(graph, x, params), [[3.0, 4.0], [1.0, 2.0]])
 
     def test_zero_weights_and_bias_give_zero(self):
-        adj = build_adjacency(spec_of(4, 3))
-        layer = GraphConvLayer(w_self=np.zeros((3, 3)), w_neigh=np.zeros((3, 3)),
-                               bias=np.zeros(3))
-        out = graphconv_layer_forward(adj, np.random.default_rng(0).normal(size=(4, 3)), layer)
+        graph = prepare_graph(spec_of(4, 3))
+        params = one_layer(Variant.GRAPHCONV, 3)
+        out = layer_output(graph, np.random.default_rng(0).normal(size=(4, 3)), params)
         np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_edge_weights_scale_neighbour_messages(self):
-        spec = spec_of(2, 1, WeightFn.INVERSE_DM)
-        adj = build_adjacency(spec)
-        w = adj[0, 1]
-        layer = GraphConvLayer(w_self=np.zeros((1, 1)), w_neigh=np.eye(1),
-                               bias=np.zeros(1))
-        out = graphconv_layer_forward(adj, np.array([[1.0], [3.0]]), layer)
+        graph = prepare_graph(spec_of(2, 1, WeightFn.INVERSE_DM))
+        w = build_adjacency(spec_of(2, 1, WeightFn.INVERSE_DM))[0, 1]
+        params = one_layer(Variant.GRAPHCONV, 1, w_neigh=np.eye(1))
+        out = layer_output(graph, np.array([[1.0], [3.0]]), params)
         np.testing.assert_allclose(out, [[3.0 * w], [1.0 * w]], rtol=1e-15)
 
 
@@ -154,24 +159,22 @@ class TestInitParams:
     def test_deterministic_given_seed(self):
         a = init_params(6, 3, Variant.CHEB, seed=7)
         b = init_params(6, 3, Variant.CHEB, seed=7)
-        for ta, tb in zip(param_tensors(a), param_tensors(b)):
-            np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_different_seeds_differ(self):
         a = init_params(6, 3, Variant.CHEB, seed=7)
         b = init_params(6, 3, Variant.CHEB, seed=8)
-        assert any(not np.array_equal(ta, tb)
-                   for ta, tb in zip(param_tensors(a), param_tensors(b)))
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_weights_bounded_by_fan_in_and_biases_zero(self):
         params = init_params(9, 2, Variant.GRAPHCONV, seed=0)
         for layer in params.layers:
             bound = 1.0 / math.sqrt(9)
-            assert np.abs(layer.w_self).max() <= bound
-            assert np.abs(layer.w_neigh).max() <= bound
-            np.testing.assert_array_equal(layer.bias, 0.0)
-        np.testing.assert_array_equal(params.head.b1, 0.0)
-        np.testing.assert_array_equal(params.head.b2, 0.0)
+            assert np.abs(layer["w_self"]).max() <= bound
+            assert np.abs(layer["w_neigh"]).max() <= bound
+            np.testing.assert_array_equal(layer["bias"], 0.0)
+        np.testing.assert_array_equal(params.head["b1"], 0.0)
+        np.testing.assert_array_equal(params.head["b2"], 0.0)
 
     def test_shape_metadata(self):
         params = init_params(8, 5, Variant.CHEB, n_layers=2, cheb_k=4, seed=1)
@@ -188,7 +191,8 @@ class TestInitParams:
         # per layer: K filter matrices (d*d), one mixing matrix (d*d), one bias (d)
         d, k, n_layers = 16, 3, 3
         params = init_params(d, 4, Variant.CHEB, n_layers=n_layers, cheb_k=k)
-        assert gnn_param_count(params) == n_layers * (k * d * d + d * d + d)
+        conv = sum(t.size for layer in params.layers for t in layer.values())
+        assert conv == n_layers * (k * d * d + d * d + d)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -203,16 +207,26 @@ class TestInitParams:
 
 class TestTensorRoundTrip:
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
-    def test_with_tensors_inverts_param_tensors(self, variant):
+    def test_views_tile_the_flat_vector_in_layout_order(self, variant):
         params = init_params(5, 2, variant, seed=3)
-        rebuilt = with_tensors(params, param_tensors(params))
-        for ta, tb in zip(param_tensors(params), param_tensors(rebuilt)):
-            np.testing.assert_array_equal(ta, tb)
+        named = [(name, t) for layer in params.layers for name, t in layer.items()]
+        named += list(params.head.items())
+        assert [(name, t.shape) for name, t in named] == list(params.layout.entries)
+        np.testing.assert_array_equal(
+            np.concatenate([t.ravel() for _, t in named]), params.flat)
+        assert all(not t.flags.writeable for _, t in named)
 
     def test_tensor_count_mismatch_rejected(self):
         params = init_params(5, 2, Variant.CHEB, seed=3)
         with pytest.raises(ValueError):
-            with_tensors(params, param_tensors(params)[:-1])
+            ModelParams(params.layout, params.flat[:-1])
+
+    def test_construction_copies_the_vector(self):
+        params = init_params(5, 2, Variant.CHEB, seed=3)
+        flat = np.array(params.flat)
+        rebuilt = ModelParams(params.layout, flat)
+        flat[0] += 1.0
+        np.testing.assert_array_equal(rebuilt.flat, params.flat)
 
 
 class TestModelForward:
@@ -316,8 +330,8 @@ class TestCheckpoint:
         assert loaded.variant is variant
         assert loaded.cheb_k == params.cheb_k
         assert loaded.n_layers == params.n_layers
-        for ta, tb in zip(param_tensors(params), param_tensors(loaded)):
-            np.testing.assert_array_equal(ta, tb)
+        assert loaded.layout == params.layout
+        np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_file_identity_across_saves(self, tmp_path):
         params = init_params(4, 2, Variant.CHEB, seed=5)
@@ -371,3 +385,40 @@ class TestCheckpoint:
         path = tmp_path / "model.ctgc"
         save_checkpoint(path, params)
         assert path.read_bytes()[:4] == CHECKPOINT_MAGIC == b"CTGC"
+
+    def _write(self, path, header, tensors):
+        """A v1 checkpoint with the given (n_labels, d, K, n_layers) header
+        and tensors, whatever their shapes."""
+        parts = [struct.pack("<4sIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *header)]
+        for t in tensors:
+            parts.append(struct.pack(f"<{1 + t.ndim}I", t.ndim, *t.shape))
+            parts.append(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        path.write_bytes(b"".join(parts))
+
+    def test_hand_written_file_matches_save(self, tmp_path):
+        params = init_params(6, 3, Variant.CHEB, seed=4)
+        ours, theirs = tmp_path / "ours.ctgc", tmp_path / "theirs.ctgc"
+        save_checkpoint(ours, params)
+        self._write(theirs, (3, 6, 3, 3), params.layout.views(params.flat))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("index, bad_shape", [
+        (4, (16, 15)),    # layer 2 ff_weight
+        (3, (2, 16, 16)),  # layer 2 thetas with K=2 under a K=3 header
+    ])
+    def test_tensor_disagreeing_with_header_layout_is_rejected(
+            self, tmp_path, index, bad_shape):
+        params = init_params(16, 4, Variant.CHEB, seed=0)
+        tensors = list(params.layout.views(params.flat))
+        tensors[index] = np.zeros(bad_shape)
+        path = tmp_path / "bad.ctgc"
+        self._write(path, (4, 16, 3, 3), tensors)
+        with pytest.raises(TruncatedPayloadError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.code == "truncated_payload"
+
+    def test_huge_layer_count_is_rejected_without_building_the_table(self, tmp_path):
+        path = tmp_path / "huge.ctgc"
+        self._write(path, (2, 4, 3, 2 ** 32 - 1), [])
+        with pytest.raises(TruncatedPayloadError):
+            load_checkpoint(path)

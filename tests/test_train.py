@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from slicegraph.data import Sample
 from slicegraph.errors import NumericError
 from slicegraph.graph import GraphConfig, WeightFn
-from slicegraph.model import (
-    Variant,
-    init_params,
-    param_tensors,
-    with_tensors,
-)
+from slicegraph.model import ModelParams, Variant, init_params
 from slicegraph.train import (
     OptimState,
     TrainConfig,
@@ -116,19 +111,17 @@ class TestAdamW:
         cfg = TrainConfig(max_lr=1e-4, weight_decay=0.01)
         params = init_params(4, 2, Variant.CHEB, seed=0)
         state = init_optim_state(params)
-        zero = [np.zeros_like(t) for t in param_tensors(params)]
+        zero = np.zeros_like(params.flat)
         new_params, _ = adamw_step(params, zero, state, 1e-4, cfg)
-        for before, after in zip(param_tensors(params), param_tensors(new_params)):
-            np.testing.assert_array_equal(after, before * (1.0 - 1e-6))
+        np.testing.assert_array_equal(new_params.flat, params.flat * (1.0 - 1e-6))
 
     def test_zero_gradient_zero_decay_is_identity(self):
         cfg = TrainConfig(weight_decay=0.0)
         params = init_params(4, 2, Variant.GRAPHCONV, seed=1)
         state = init_optim_state(params)
-        zero = [np.zeros_like(t) for t in param_tensors(params)]
+        zero = np.zeros_like(params.flat)
         new_params, new_state = adamw_step(params, zero, state, 1e-4, cfg)
-        for before, after in zip(param_tensors(params), param_tensors(new_params)):
-            np.testing.assert_array_equal(after, before)
+        np.testing.assert_array_equal(new_params.flat, params.flat)
         assert new_state.step == 1
 
     def test_first_step_moves_by_learning_rate(self):
@@ -137,27 +130,25 @@ class TestAdamW:
         params = init_params(3, 2, Variant.CHEB, seed=2)
         state = init_optim_state(params)
         rng = np.random.default_rng(4)
-        grads = [rng.normal(size=t.shape) for t in param_tensors(params)]
-        new_params, _ = adamw_step(params, grads, state, 1e-3, cfg)
-        for before, after, g in zip(param_tensors(params),
-                                    param_tensors(new_params), grads):
-            moved = np.abs(after - before)
-            assert moved.max() <= 1e-3 + 1e-12
-            big = np.abs(g) > 1e-3
-            np.testing.assert_allclose(moved[big], 1e-3, rtol=1e-4)
+        g = rng.normal(size=params.flat.shape)
+        new_params, _ = adamw_step(params, g, state, 1e-3, cfg)
+        moved = np.abs(new_params.flat - params.flat)
+        assert moved.max() <= 1e-3 + 1e-12
+        big = np.abs(g) > 1e-3
+        np.testing.assert_allclose(moved[big], 1e-3, rtol=1e-4)
 
     def test_matches_scalar_reference_implementation(self):
         beta1, beta2, eps, wd = 0.9, 0.99, 1e-8, 0.01
         cfg = TrainConfig(betas=(beta1, beta2), adam_eps=eps, weight_decay=wd)
         params = init_params(2, 1, Variant.GRAPHCONV, n_layers=1, seed=5)
         state = init_optim_state(params)
-        reference = [t.copy() for t in param_tensors(params)]
-        ref_m = [np.zeros_like(t) for t in reference]
-        ref_v = [np.zeros_like(t) for t in reference]
+        reference = [float(x) for x in params.flat]
+        ref_m = [0.0] * len(reference)
+        ref_v = [0.0] * len(reference)
 
         rng = np.random.default_rng(6)
         for t_step in range(1, 31):
-            grads = [rng.normal(size=t.shape) for t in reference]
+            grads = rng.normal(size=len(reference))
             lr = 1e-3 * (0.95 ** t_step)
             params, state = adamw_step(params, grads, state, lr, cfg)
             for i, g in enumerate(grads):
@@ -166,17 +157,16 @@ class TestAdamW:
                 ref_v[i] = beta2 * ref_v[i] + (1 - beta2) * g * g
                 m_hat = ref_m[i] / (1 - beta1 ** t_step)
                 v_hat = ref_v[i] / (1 - beta2 ** t_step)
-                reference[i] = reference[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                reference[i] = reference[i] - lr * m_hat / (math.sqrt(v_hat) + eps)
 
-        for ours, ref in zip(param_tensors(params), reference):
-            np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(params.flat, reference, rtol=1e-12, atol=1e-15)
 
     def test_state_tracks_step_count(self):
         params = init_params(2, 1, Variant.CHEB, seed=0)
         state = init_optim_state(params)
         assert isinstance(state, OptimState)
         assert state.step == 0
-        zero = [np.zeros_like(t) for t in param_tensors(params)]
+        zero = np.zeros_like(params.flat)
         _, state = adamw_step(params, zero, state, 1e-4, TrainConfig())
         _, state = adamw_step(params, zero, state, 1e-4, TrainConfig())
         assert state.step == 2
@@ -208,8 +198,7 @@ class TestTrainLoop:
         cfg = self.overfit_config(total_steps=60)
         r1 = train(samples, [], GRAPH, Variant.CHEB, cfg)
         r2 = train(samples, [], GRAPH, Variant.CHEB, cfg)
-        for a, b in zip(param_tensors(r1.params), param_tensors(r2.params)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r1.params.flat, r2.params.flat)
         assert r1.loss_curve == r2.loss_curve
 
     def test_different_seed_changes_outcome(self):
@@ -220,23 +209,21 @@ class TestTrainLoop:
                    TrainConfig(batch_size=1, max_lr=5e-2, warmup_steps=50,
                                total_steps=60, weight_decay=0.0, seed=1,
                                log_every=100))
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(param_tensors(r1.params), param_tensors(r2.params)))
+        assert not np.array_equal(r1.params.flat, r2.params.flat)
 
     def test_non_finite_loss_raises_with_diagnostics(self):
         samples = toy_samples(n_samples=1)
         cfg = TrainConfig(batch_size=1, max_lr=1e-3, warmup_steps=2,
                           total_steps=10, weight_decay=0.0, seed=0, log_every=5)
         params = init_params(4, 3, Variant.CHEB, seed=0)
-        tensors = param_tensors(params)
-        poisoned = [t.copy() for t in tensors]
-        poisoned[0][0] = np.nan
+        poisoned = np.array(params.flat)
+        poisoned[:4] = np.nan  # first row of the first filter matrix
         with pytest.raises(NumericError) as excinfo:
             train(samples, [], GRAPH, Variant.CHEB, cfg,
-                  initial_params=with_tensors(params, poisoned))
+                  initial_params=ModelParams(params.layout, poisoned))
         err = excinfo.value
         assert err.step == 0
-        assert len(err.grad_norms) == len(tensors)
+        assert len(err.grad_norms) == len(params.layout.entries)
         assert "not finite" in str(err)
 
     def test_warm_start_shape_mismatch_rejected(self):
