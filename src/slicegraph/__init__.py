@@ -46,7 +46,6 @@ from .model import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .gradients import (
     backward,
-    batch_backward,
     bce_grad_logits,
     central_difference_grads,
     finite_diff_grad,

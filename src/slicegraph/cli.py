@@ -198,11 +198,17 @@ def _require_out(args) -> Path:
 
 def _load_splits(settings: Settings, data_dir) -> tuple[Settings, list, list, list]:
     """The three splits of a gen-data directory, and the settings with
-    `q=full` resolved against the largest volume loaded."""
+    `q=full` resolved against the largest volume loaded. A split whose d
+    or n_labels differs from the train split's raises BinaryFormatError."""
     base = Path(data_dir)
     splits = (read_dataset(base / "train"),
               read_dataset(base / "val"),
               read_dataset(base / "test"))
+    (d, n_labels), *others = [(s[0].features.shape[1], s[0].labels.size) for s in splits]
+    for name, (d_other, n_other) in zip(("val", "test"), others):
+        if (d_other, n_other) != (d, n_labels):
+            raise BinaryFormatError(f"{base / name}: d={d_other}, n_labels={n_other}; "
+                                    f"{base / 'train'} has d={d}, n_labels={n_labels}")
     if settings.q_full:
         n_max = max(s.features.shape[0] for split in splits for s in split)
         settings = replace(settings, graph=replace(settings.graph, q=resolve_q("full", n_max)))

@@ -18,7 +18,7 @@ import numpy as np
 from .data import Sample, SynthTaskConfig, apply_z_shift, generate_task
 from .graph import GraphConfig, WeightFn
 from .metrics import MetricsReport, PredictionSet, evaluate, select_thresholds
-from .model import GraphOperatorCache, ModelParams, Variant, model_forward, sigmoid
+from .model import GraphOperatorCache, ModelParams, Variant, graph_stacks, sigmoid, stack_forward
 from .train import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -64,12 +64,13 @@ def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
 
 def predict(params: ModelParams, graph_cfg: GraphConfig,
             samples: list[Sample]) -> PredictionSet:
-    """Sigmoid scores and true labels for a list of samples."""
+    """Sigmoid scores and true labels for a list of samples, in input order;
+    one forward pass per stack of samples sharing (n_nodes, spacing)."""
     cache = GraphOperatorCache(graph_cfg)
-    scores = np.stack([
-        sigmoid(model_forward(cache.for_sample(s), s.features, params))
-        for s in samples
-    ])
+    scores = np.empty((len(samples), params.n_labels))
+    for graph, idx in graph_stacks(cache.for_sample(s) for s in samples):
+        stack = np.stack([samples[i].features for i in idx])
+        scores[idx] = sigmoid(stack_forward(graph, stack, params)[0])
     labels = np.stack([s.labels for s in samples])
     return PredictionSet(scores, labels)
 

@@ -1,8 +1,9 @@
 """Exact reverse-mode gradients for the graph classifier.
 
 The architecture is fixed, so the backward pass is written out by hand
-rather than through a tape. `finite_diff_grad` is the independent
-central-difference oracle used to validate it.
+rather than through a tape, once per stack of samples sharing a graph.
+`finite_diff_grad` is the independent central-difference oracle used to
+validate it.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from .model import (
     SampleGraph,
     Variant,
     bce_loss,
-    forward_trace,
+    graph_stacks,
     init_params,
     model_forward,
     prepare_graph,
     sigmoid,
+    stack_forward,
 )
 
 __all__ = [
     "bce_grad_logits",
     "backward",
-    "batch_backward",
     "central_difference_grads",
     "finite_diff_grad",
     "gradcheck_rel_error",
@@ -43,11 +44,10 @@ GRADCHECK_TOL = 1e-5
 KINK_MARGIN = 1e-3
 
 
-def _kink_distance(trace) -> float:
+def _kink_distance(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> float:
     """Distance from the nearest ReLU hinge over every pre-activation."""
-    dists = [float(np.abs(t[2]).min()) for t in trace.layer_traces]
-    dists.append(float(np.abs(trace.head_pre).min()))
-    return min(dists)
+    _, layers, (_, head_pre, _) = stack_forward(graph, np.asarray(h)[None], params)
+    return min(float(np.abs(pre).min()) for pre in [t[-1] for t in layers] + [head_pre])
 
 
 def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -62,38 +62,33 @@ def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return signed / x.size
 
 
-def backward(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
-             params: ModelParams) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(params.flat), one flat vector in the same layout.
-
-    The loss value is the same forward computation `model_forward` runs,
-    bit for bit.
-    """
-    logits, trace = forward_trace(graph, h, params)
-    loss = bce_loss(logits, labels)
+def _stack_backward(graph: SampleGraph, x: np.ndarray, labels: np.ndarray,
+                    params: ModelParams, share: float) -> tuple[float, np.ndarray]:
+    """Mean loss and its flat gradient over one (B, n_nodes, d) stack, both
+    scaled by the stack's `share` of the batch."""
+    logits, layers, (pooled, head_pre, head_act) = stack_forward(graph, x, params)
+    loss = share * bce_loss(logits, labels)
 
     grad = np.zeros(params.layout.size)
     layer_grads, head_grad = params.layout.group(grad)
 
     head = params.head
-    d_logits = bce_grad_logits(logits, labels)
-    head_grad["w2"][...] = np.outer(trace.head_act, d_logits)
-    head_grad["b2"][...] = d_logits
-    d_act = d_logits @ head["w2"].T
-    d_pre = d_act * (trace.head_pre > 0)
-    head_grad["w1"][...] = np.outer(trace.pooled, d_pre)
-    head_grad["b1"][...] = d_pre
-    d_pooled = d_pre @ head["w1"].T
+    d_logits = share * bce_grad_logits(logits, labels)
+    head_grad["w2"][...] = head_act.T @ d_logits
+    head_grad["b2"][...] = d_logits.sum(axis=0)
+    d_pre = (d_logits @ head["w2"].T) * (head_pre > 0)
+    head_grad["w1"][...] = pooled.T @ d_pre
+    head_grad["b1"][...] = d_pre.sum(axis=0)
 
-    # Sum pooling broadcasts the pooled gradient back to every node row.
-    n_nodes = graph.adjacency.shape[0]
-    dz = np.tile(d_pooled, (n_nodes, 1))
+    # Sum pooling broadcasts each sample's pooled gradient back to its node rows.
+    n_samples, n_nodes, d = x.shape
+    dz = np.repeat(d_pre @ head["w1"].T, n_nodes, axis=0)
 
     cheb = params.variant is Variant.CHEB
-    for layer, layer_grad, layer_trace in zip(
-            reversed(params.layers), reversed(layer_grads), reversed(trace.layer_traces)):
+    for layer, layer_grad, saved in zip(
+            reversed(params.layers), reversed(layer_grads), reversed(layers)):
         if cheb:
-            basis, filtered, pre = layer_trace
+            basis, filtered, pre = saved
             d_pre_l = dz * (pre > 0)
             layer_grad["ff_weight"][...] = filtered.T @ d_pre_l
             layer_grad["ff_bias"][...] = d_pre_l.sum(axis=0)
@@ -101,49 +96,47 @@ def backward(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
 
             thetas = layer["thetas"]
             order = thetas.shape[0]
-            for k in range(order):
-                layer_grad["thetas"][k] = basis[k].T @ d_filtered
+            layer_grad["thetas"][...] = (basis.T @ d_filtered).reshape(order, d, d)
 
             # Adjoint of the three-term recurrence. g[k] holds the gradient
-            # reaching T_k(lhat) X; lhat is symmetric so its transpose is itself.
+            # reaching T_k(lhat) Z; lhat is symmetric so its transpose is itself.
             lhat_m = graph.lhat.values
-            g = [d_filtered @ thetas[k].T for k in range(order)]
+            g = (d_filtered @ thetas.transpose(0, 2, 1)).reshape(order, n_samples, n_nodes, d)
             for k in range(order - 1, 1, -1):
                 g[k - 1] += 2.0 * (lhat_m @ g[k])
                 g[k - 2] -= g[k]
             if order > 1:
                 g[0] += lhat_m @ g[1]
-            dz = g[0]
+            dz = g[0].reshape(-1, d)
         else:
-            z_in, neigh, pre = layer_trace
+            z_in, neigh, pre = saved
             d_pre_l = dz * (pre > 0)
             layer_grad["w_self"][...] = z_in.T @ d_pre_l
             layer_grad["w_neigh"][...] = neigh.T @ d_pre_l
             layer_grad["bias"][...] = d_pre_l.sum(axis=0)
             # adjacency is symmetric, so A^T collapses to A here
-            dz = d_pre_l @ layer["w_self"].T + graph.adjacency @ (d_pre_l @ layer["w_neigh"].T)
+            d_neigh = (d_pre_l @ layer["w_neigh"].T).reshape(n_samples, n_nodes, d)
+            dz = d_pre_l @ layer["w_self"].T + (graph.adjacency @ d_neigh).reshape(-1, d)
     return loss, grad
 
 
-def batch_backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
-    """Mean loss and mean flat gradient over (graph, features, labels) triples.
-
-    Accumulation follows the given order, so results are deterministic.
-    """
+def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
+    """Mean loss and mean d(loss)/d(params.flat) over (graph, features,
+    labels) triples: one pass per stack from `graph_stacks`, combined in
+    that fixed order, so results are deterministic. For one triple the
+    loss is the forward computation `model_forward` runs, bit for bit."""
     items = list(items)
     if not items:
         raise ValueError("batch must contain at least one sample")
-    total_loss = 0.0
-    acc: np.ndarray | None = None
-    for graph, features, labels in items:
-        loss, grad = backward(graph, features, labels, params)
-        total_loss += loss
-        if acc is None:
-            acc = grad
-        else:
-            acc += grad
-    scale = 1.0 / len(items)
-    return total_loss * scale, acc * scale
+    loss, grad = 0.0, np.zeros(params.layout.size)
+    for graph, idx in graph_stacks(graph for graph, _, _ in items):
+        x = np.array([items[i][1] for i in idx], dtype=float)
+        labels = np.array([items[i][2] for i in idx], dtype=float)
+        stack_loss, stack_grad = _stack_backward(graph, x, labels, params,
+                                                 len(idx) / len(items))
+        loss += stack_loss
+        grad += stack_grad
+    return loss, grad
 
 
 def central_difference_grads(loss_fn, x: np.ndarray, epsilon: float) -> np.ndarray:
@@ -227,14 +220,13 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
             # only compare where the finite-difference oracle is valid:
             # redraw configurations sitting on (or within the step of) a
             # ReLU hinge
-            _, trace = forward_trace(graph, h, params)
-            if _kink_distance(trace) >= KINK_MARGIN:
+            if _kink_distance(graph, h, params) >= KINK_MARGIN:
                 break
             redraws += 1
         else:  # pragma: no cover - would need 1000 degenerate draws
             raise RuntimeError("could not draw a hinge-free configuration")
 
-        _, analytic = backward(graph, h, labels, params)
+        _, analytic = backward([(graph, h, labels)], params)
         numeric = finite_diff_grad(graph, h, labels, params, epsilon)
         err = gradcheck_rel_error(analytic, numeric)
         worst = max(worst, err)

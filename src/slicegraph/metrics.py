@@ -111,32 +111,27 @@ def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
     among them (t > max(score) only reaches the empty set, whose F1 is 0),
     so the scan is exhaustive over distinct classifications.
     """
-    order = np.argsort(scores, kind="stable")
+    # every cut below falls between distinct scores, so the order within ties
+    # never matters and an unstable sort is enough
+    order = np.argsort(scores)
     sorted_scores = scores[order]
     sorted_labels = np.asarray(labels)[order]
     m = sorted_scores.size
 
-    distinct = np.unique(sorted_scores)
+    distinct = sorted_scores[np.flatnonzero(np.diff(sorted_scores, prepend=-np.inf))]
     candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0, [1.0]))
 
     # suffix_pos[i] = positives among scores[i:], so TP at cut i is suffix_pos[i]
     suffix_pos = np.zeros(m + 1, dtype=np.int64)
     suffix_pos[:m] = np.cumsum(sorted_labels[::-1])[::-1]
-    total_pos = int(suffix_pos[0])
 
-    best_f1 = -1.0
-    best_threshold = 0.0
-    for threshold in candidates:
-        cut = int(np.searchsorted(sorted_scores, threshold, side="left"))
-        tp = int(suffix_pos[cut])
-        fp = (m - cut) - tp
-        fn = total_pos - tp
-        denom = 2 * tp + fp + fn
-        f1 = (2.0 * tp / denom) if denom else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = float(threshold)
-    return best_threshold, best_f1
+    cuts = np.searchsorted(sorted_scores, candidates, side="left")
+    # F1 = 2TP / (2TP + FP + FN) = 2TP / (predicted + actual positives)
+    denom = (m - cuts) + suffix_pos[0]
+    f1 = np.divide(2.0 * suffix_pos[cuts], denom, out=np.zeros(candidates.size),
+                   where=denom > 0)
+    best = int(np.argmax(f1))  # the first maximum: ties go to the smallest
+    return float(candidates[best]), float(f1[best])
 
 
 def select_thresholds(predictions: PredictionSet) -> np.ndarray:

@@ -3,7 +3,9 @@
 Two interchangeable graph modules over the same skeleton: a Chebyshev
 spectral filter stack and a weighted-neighbour-sum ("graphconv")
 baseline. Either way: three conv layers with ReLU, sum pooling over
-nodes, then a two-layer MLP head producing one logit per label.
+nodes, then a two-layer MLP head producing one logit per label. The
+forward pass takes a (B, n_nodes, d) stack of samples sharing one graph
+(`graph_stacks` forms them); a single sample is B = 1.
 
 All parameters live in one contiguous f64 vector whose tensor order and
 shapes come from `ParamLayout`; `ModelParams` holds that vector, read-only,
@@ -25,7 +27,6 @@ from .spectral import (
     ScaledLaplacian,
     cheb_basis,
     scaled_laplacian_from_adjacency,
-    _filter_sum,
 )
 
 __all__ = [
@@ -33,20 +34,23 @@ __all__ = [
     "ParamLayout",
     "ModelParams",
     "SampleGraph",
-    "ForwardTrace",
     "GraphOperatorCache",
     "prepare_graph",
     "init_params",
     "relu",
     "sigmoid",
     "aggregate_sum",
-    "forward_trace",
+    "graph_stacks",
+    "stack_forward",
     "model_forward",
     "bce_loss",
 ]
 
 DEFAULT_N_LAYERS = 3
 DEFAULT_CHEB_K = 3
+
+# Most samples one stacked pass takes; bounds the memory its intermediates hold.
+STACK_SIZE = 64
 
 _INIT_STREAM = 0  # rng stream tag for parameter init
 
@@ -234,60 +238,67 @@ def init_params(d: int, n_labels: int, variant: Variant = Variant.CHEB, *,
 # ---------------------------------------------------------------------------
 
 def aggregate_sum(z: np.ndarray) -> np.ndarray:
-    """Permutation-invariant readout: column sums over nodes."""
+    """Permutation-invariant readout: column sums over nodes, per sample."""
     z = np.asarray(z, dtype=float)
-    if z.ndim != 2:
-        raise ValueError(f"expected (n_nodes, d) features, got shape {z.shape}")
-    return z.sum(axis=0)
+    if z.ndim < 2:
+        raise ValueError(f"expected (..., n_nodes, d) features, got shape {z.shape}")
+    return z.sum(axis=-2)
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediates needed by the backward pass."""
+def graph_stacks(graphs) -> list[tuple[SampleGraph, list[int]]]:
+    """Positions of `graphs` grouped by graph object in order of first
+    appearance, each group cut into runs of at most STACK_SIZE."""
+    groups: dict[int, tuple[SampleGraph, list[int]]] = {}
+    for i, graph in enumerate(graphs):
+        groups.setdefault(id(graph), (graph, []))[1].append(i)
+    return [(graph, idx[start:start + STACK_SIZE])
+            for graph, idx in groups.values()
+            for start in range(0, len(idx), STACK_SIZE)]
 
-    layer_traces: list  # per layer: (basis, filtered, pre) or (z_in, neigh, pre)
-    pooled: np.ndarray
-    head_pre: np.ndarray
-    head_act: np.ndarray
-    logits: np.ndarray
 
+def stack_forward(graph: SampleGraph, x: np.ndarray, params: ModelParams):
+    """Run the model on a (B, n_nodes, d) stack of samples sharing `graph`.
 
-def forward_trace(graph: SampleGraph, h: np.ndarray, params: ModelParams):
-    """Run the model keeping intermediates; returns (logits, trace)."""
-    z = np.asarray(h, dtype=float)
-    if z.ndim != 2 or z.shape[1] != params.d:
-        raise ValueError(
-            f"features must be (n_nodes, {params.d}), got shape {np.shape(h)}"
-        )
+    Returns (B, n_labels) logits and what backward reuses: per conv layer
+    the (B·n_nodes, ...) inputs of its matmuls and its pre-activation,
+    and the head's (pooled, pre, act).
+    """
+    z = np.asarray(x, dtype=float)
+    d = params.d
+    if z.ndim != 3 or z.shape[2] != d:
+        raise ValueError(f"features must be (B, n_nodes, {d}), got shape {z.shape}")
+    n_samples, n_nodes, _ = z.shape
     cheb = params.variant is Variant.CHEB
-    traces = []
+    layers = []
     for layer in params.layers:
         if cheb:
-            # ReLU(feedforward(Chebyshev filter(z)))
+            # ReLU(feedforward(Chebyshev filter(z))); the filter is one
+            # (B·n, K·d) @ (K·d, d) matmul over the side-by-side basis
             thetas = layer["thetas"]
-            basis = cheb_basis(graph.lhat, z, thetas.shape[0])
-            filtered = _filter_sum(basis, thetas)
+            basis = cheb_basis(graph.lhat, z, thetas.shape[0]).transpose(1, 2, 0, 3)
+            basis = basis.reshape(-1, thetas.shape[0] * d)
+            filtered = basis @ thetas.reshape(-1, d)
             pre = filtered @ layer["ff_weight"] + layer["ff_bias"]
-            traces.append((basis, filtered, pre))
+            layers.append((basis, filtered, pre))
         else:
             # ReLU(z W_self + (A z) W_neigh + bias): weighted neighbour sum
-            neigh = graph.adjacency @ z
-            pre = z @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
-            traces.append((z, neigh, pre))
-        z = relu(pre)
+            z_in = z.reshape(-1, d)
+            neigh = (graph.adjacency @ z).reshape(-1, d)
+            pre = z_in @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
+            layers.append((z_in, neigh, pre))
+        z = relu(pre).reshape(n_samples, n_nodes, d)
 
     pooled = aggregate_sum(z)
     head = params.head
     head_pre = pooled @ head["w1"] + head["b1"]
     head_act = relu(head_pre)
     logits = head_act @ head["w2"] + head["b2"]
-    return logits, ForwardTrace(traces, pooled, head_pre, head_act, logits)
+    return logits, layers, (pooled, head_pre, head_act)
 
 
 def model_forward(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Logits (one per label) for one sample."""
-    logits, _ = forward_trace(graph, h, params)
-    return logits
+    """Logits (one per label) for one (n_nodes, d) sample: a stack of one."""
+    return stack_forward(graph, np.asarray(h)[None], params)[0][0]
 
 
 def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -89,7 +89,9 @@ def cheb_basis(lhat, x: np.ndarray, order: int) -> np.ndarray:
     """Stack ``[T_0(M) X, ..., T_{order-1}(M) X]`` via the recurrence.
 
     T_0 X = X, T_1 X = M X, T_k X = 2 M T_{k-1} X - T_{k-2} X.
-    Accumulation is in double precision regardless of the input dtype.
+    `x` may be a (..., n_nodes, d) stack of samples on one graph; M
+    broadcasts over the leading axes. Accumulation is in double precision
+    regardless of the input dtype.
     """
     m = _operator_matrix(lhat)
     x = np.asarray(x, dtype=float)
@@ -97,9 +99,9 @@ def cheb_basis(lhat, x: np.ndarray, order: int) -> np.ndarray:
         raise ValueError(f"filter order must be >= 1, got {order}")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"operator must be square, got shape {m.shape}")
-    if x.ndim != 2 or x.shape[0] != m.shape[0]:
+    if x.ndim < 2 or x.shape[-2] != m.shape[0]:
         raise ValueError(
-            f"features must be (n_nodes, d) with n_nodes={m.shape[0]}, got {x.shape}"
+            f"features must be (..., n_nodes, d) with n_nodes={m.shape[0]}, got {x.shape}"
         )
     basis = np.empty((order,) + x.shape, dtype=float)
     basis[0] = x
@@ -108,13 +110,6 @@ def cheb_basis(lhat, x: np.ndarray, order: int) -> np.ndarray:
     for k in range(2, order):
         basis[k] = 2.0 * (m @ basis[k - 1]) - basis[k - 2]
     return basis
-
-
-def _filter_sum(basis: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    out = basis[0] @ thetas[0]
-    for k in range(1, len(thetas)):
-        out += basis[k] @ thetas[k]
-    return out
 
 
 def _check_thetas(thetas, d_in: int) -> np.ndarray:
@@ -134,8 +129,9 @@ def cheb_apply(lhat, x: np.ndarray, thetas) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     thetas = _check_thetas(thetas, x.shape[1])
-    basis = cheb_basis(lhat, x, len(thetas))
-    return _filter_sum(basis, thetas)
+    # the (n, K·d_in) @ (K·d_in, d_out) product over the side-by-side basis
+    # that the model's layers run
+    return np.tensordot(cheb_basis(lhat, x, len(thetas)), thetas, axes=([0, 2], [0, 1]))
 
 
 def spectral_filter_oracle(lap: np.ndarray, x: np.ndarray, thetas) -> np.ndarray:

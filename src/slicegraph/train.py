@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError
-from .gradients import batch_backward
+from .gradients import backward
 from .graph import GraphConfig
 from .model import GraphOperatorCache, ModelParams, Variant, init_params
 from .checkpoint import save_checkpoint
@@ -192,7 +192,7 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
             cursor += cfg.batch_size
 
             items = [(cache.for_sample(s), s.features, s.labels) for s in batch]
-            loss, grads = batch_backward(items, params)
+            loss, grads = backward(items, params)
             lr = lr_at(step, cfg)
             if not math.isfinite(loss):
                 norms = [float(np.linalg.norm(g)) for g in params.layout.views(grads)]

@@ -2,10 +2,17 @@
 and exit codes (0 ok, 2 config, 3 numeric, 4 I/O)."""
 
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import slicegraph
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
@@ -102,6 +109,44 @@ class TestTrain:
                        "--out", out) == 4
         assert not (out / "train_log.ndjson").exists()
         assert not list(out.glob("*.ctgc"))
+
+    def test_split_wider_than_train_is_io_error_before_training(self, tmp_path):
+        data, wide, out = tmp_path / "data", tmp_path / "wide", tmp_path / "run"
+        for path, d in ((data, 4), (wide, 8)):
+            config = tmp_path / f"config{d}.json"
+            config.write_text(json.dumps({**TINY, "d": d}))
+            run_cli("gen-data", "--config", config, "--out", path)
+        shutil.rmtree(data / "val")
+        shutil.move(wide / "val", data / "val")
+        assert run_cli("train", "--config", tmp_path / "config4.json", "--data", data,
+                       "--out", out) == 4
+        assert not (out / "train_log.ndjson").exists()
+        assert not list(out.glob("*.ctgc"))
+
+
+class TestBlasThreadCount:
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path, variant):
+        # stacks of 32 desk-sized samples make matmuls large enough for
+        # OpenBLAS to split them across threads
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            **TINY, "n_nodes": 20, "d": 16, "n_train": 64, "n_val": 8, "n_test": 8,
+            "total_steps": 6, "warmup_steps": 2, "batch_size": 32, "log_every": 2}))
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--config", config, "--out", data) == 0
+        src = str(Path(slicegraph.__file__).resolve().parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            subprocess.run([sys.executable, "-m", "slicegraph.cli", "train", "--config", config,
+                            "--data", data, "--variant", variant, "--out", out],
+                           env=env, check=True, capture_output=True, timeout=300)
+            runs[threads] = [(out / name).read_bytes()
+                             for name in ("checkpoint.ctgc", "train_log.ndjson")]
+        assert runs["1"] == runs["2"]
 
 
 class TestEval:

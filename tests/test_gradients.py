@@ -11,7 +11,6 @@ from slicegraph.gradients import (
     GRADCHECK_TOL,
     _kink_distance,
     backward,
-    batch_backward,
     bce_grad_logits,
     central_difference_grads,
     finite_diff_grad,
@@ -22,11 +21,12 @@ from slicegraph.graph import GraphSpec, WeightFn
 from slicegraph.model import (
     ModelParams,
     Variant,
+    STACK_SIZE,
     bce_loss,
-    forward_trace,
     init_params,
     model_forward,
     prepare_graph,
+    stack_forward,
 )
 
 
@@ -41,6 +41,17 @@ def toy_problem(variant, seed, n=6, d=4, n_labels=3, q=2):
     h = rng.normal(size=(n, d))
     labels = rng.integers(0, 2, size=n_labels)
     return graph, h, labels, params
+
+
+def mixed_batch(variant, seed=11):
+    """A shuffled batch over three graphs; the largest group spans two stacks."""
+    rng = np.random.default_rng(seed)
+    graphs = [toy_graph(5, 2), toy_graph(6, 3, WeightFn.EXP_DECAY),
+              toy_graph(5, 2, spacing_z=0.03)]
+    which = rng.permutation([0] * (STACK_SIZE + 6) + [1] * 5 + [2] * 4)
+    items = [(graphs[g], rng.normal(size=(graphs[g].adjacency.shape[0], 4)),
+              rng.integers(0, 2, size=2)) for g in which]
+    return items, init_params(4, 2, variant, seed=seed)
 
 
 class TestBceGradLogits:
@@ -77,13 +88,13 @@ class TestBackward:
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_loss_equals_forward_loss_bitwise(self, variant):
         graph, h, labels, params = toy_problem(variant, seed=1)
-        loss, _ = backward(graph, h, labels, params)
+        loss, _ = backward([(graph, h, labels)], params)
         assert loss == bce_loss(model_forward(graph, h, params), labels)
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_gradient_tensor_layout_matches_params(self, variant):
         graph, h, labels, params = toy_problem(variant, seed=2)
-        _, grad = backward(graph, h, labels, params)
+        _, grad = backward([(graph, h, labels)], params)
         assert grad.shape == params.flat.shape
         # the gradient reads through the same layout as the parameters
         assert [g.shape for g in params.layout.views(grad)] == \
@@ -98,14 +109,14 @@ class TestBackward:
         flat[-1] = 50.0  # b2, the last entry
         params = ModelParams(layout, flat)
         h = np.random.default_rng(3).normal(size=(4, 3))
-        _, grad = backward(graph, h, np.array([1]), params)
+        _, grad = backward([(graph, h, np.array([1]))], params)
         assert grad[-1] == pytest.approx(-1.928749847963918e-22, rel=1e-12)
         assert np.count_nonzero(grad) == 1
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_matches_finite_differences_on_toy_problem(self, variant):
         graph, h, labels, params = toy_problem(variant, seed=4)
-        _, analytic = backward(graph, h, labels, params)
+        _, analytic = backward([(graph, h, labels)], params)
         numeric = finite_diff_grad(graph, h, labels, params, epsilon=1e-5)
         assert gradcheck_rel_error(analytic, numeric) <= 1e-5
 
@@ -115,7 +126,7 @@ class TestBackward:
         params = init_params(3, 2, Variant.CHEB, n_layers=2, cheb_k=5, seed=5)
         h = rng.normal(size=(5, 3))
         labels = np.array([0, 1])
-        _, analytic = backward(graph, h, labels, params)
+        _, analytic = backward([(graph, h, labels)], params)
         numeric = finite_diff_grad(graph, h, labels, params)
         assert gradcheck_rel_error(analytic, numeric) <= 1e-5
 
@@ -126,17 +137,40 @@ class TestBatchBackward:
         rng = np.random.default_rng(7)
         h2 = rng.normal(size=h1.shape)
         labels2 = rng.integers(0, 2, size=labels1.size)
-        loss_batch, grads_batch = batch_backward(
+        loss_batch, grads_batch = backward(
             [(graph, h1, labels1), (graph, h2, labels2)], params)
-        loss1, grads1 = backward(graph, h1, labels1, params)
-        loss2, grads2 = backward(graph, h2, labels2, params)
+        loss1, grads1 = backward([(graph, h1, labels1)], params)
+        loss2, grads2 = backward([(graph, h2, labels2)], params)
         assert loss_batch == pytest.approx((loss1 + loss2) / 2.0, rel=1e-15)
         np.testing.assert_allclose(grads_batch, (grads1 + grads2) / 2.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_mixed_graphs_match_mean_of_single_samples(self, variant):
+        items, params = mixed_batch(variant)
+        loss, grad = backward(items, params)
+        singles = [backward([item], params) for item in items]
+        assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
+        np.testing.assert_allclose(grad, np.mean([g for _, g in singles], axis=0),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_mixed_graphs_match_finite_differences(self, variant):
+        items, params = mixed_batch(variant)
+
+        def mean_loss(flat):
+            candidate = ModelParams(params.layout, flat)
+            return float(np.mean([bce_loss(model_forward(graph, h, candidate), labels)
+                                  for graph, h, labels in items]))
+
+        _, analytic = backward(items, params)
+        numeric = central_difference_grads(mean_loss, params.flat, epsilon=1e-5)
+        assert np.abs(analytic).max() > 0.0
+        assert gradcheck_rel_error(analytic, numeric) <= 1e-5
 
     def test_empty_batch_rejected(self):
         params = init_params(3, 2, Variant.CHEB, seed=0)
         with pytest.raises(ValueError):
-            batch_backward([], params)
+            backward([], params)
 
 
 class TestFiniteDifferenceOracle:
@@ -225,10 +259,10 @@ class TestGradcheckHarness:
         for layer in layers:
             layer["ff_bias"] -= 100.0
         dead = ModelParams(params.layout, flat)
-        _, trace = forward_trace(graph, h, dead)
-        assert np.all(trace.pooled == 0.0)
-        assert trace.head_pre[0] == 0.0
-        assert _kink_distance(trace) == 0.0
+        _, _, (pooled, head_pre, _) = stack_forward(graph, h[None], dead)
+        assert np.all(pooled == 0.0)
+        assert head_pre[0, 0] == 0.0
+        assert _kink_distance(graph, h, dead) == 0.0
 
     def test_redraw_counter_reported(self):
         result = run_gradcheck(n_trials=20, seed=0)
@@ -243,7 +277,7 @@ class TestGradientSanity:
         rng = np.random.default_rng(seed)
         variant = Variant.CHEB if seed % 2 == 0 else Variant.GRAPHCONV
         graph, h, labels, params = toy_problem(variant, seed=seed)
-        loss0, grad = backward(graph, h, labels, params)
+        loss0, grad = backward([(graph, h, labels)], params)
         step = 1e-4 / max(np.abs(grad).max(), 1e-12)
         stepped = ModelParams(params.layout, params.flat - step * grad)
         loss1 = bce_loss(model_forward(graph, h, stepped), labels)
@@ -256,5 +290,5 @@ class TestGradientSanity:
         flat = np.zeros(layout.size)
         flat[-1] = 500.0
         params = ModelParams(layout, flat)
-        _, grad = backward(graph, np.ones((3, 2)), np.array([1]), params)
+        _, grad = backward([(graph, np.ones((3, 2)), np.array([1]))], params)
         assert np.abs(grad).max() < 1e-200

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicegraph.metrics import (
+    _best_threshold,
     LabelMetrics,
     MetricsReport,
     PredictionSet,
@@ -16,6 +17,31 @@ from slicegraph.metrics import (
     f1_recall_precision_accuracy,
     select_thresholds,
 )
+
+
+def loop_best_threshold(scores, labels):
+    """The per-candidate scan, one threshold at a time: the reference the
+    vectorised scan must match exactly."""
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = np.asarray(labels)[order]
+    m = sorted_scores.size
+    distinct = np.unique(sorted_scores)
+    candidates = np.concatenate(([0.0], (distinct[:-1] + distinct[1:]) / 2.0, [1.0]))
+    suffix_pos = np.zeros(m + 1, dtype=np.int64)
+    suffix_pos[:m] = np.cumsum(sorted_labels[::-1])[::-1]
+    total_pos = int(suffix_pos[0])
+    best_f1, best_threshold = -1.0, 0.0
+    for threshold in candidates:
+        cut = int(np.searchsorted(sorted_scores, threshold, side="left"))
+        tp = int(suffix_pos[cut])
+        fp = (m - cut) - tp
+        fn = total_pos - tp
+        denom = 2 * tp + fp + fn
+        f1 = (2.0 * tp / denom) if denom else 0.0
+        if f1 > best_f1:
+            best_f1, best_threshold = f1, float(threshold)
+    return best_threshold, best_f1
 
 
 def brute_force_auroc(scores, labels):
@@ -217,6 +243,22 @@ class TestSelectThresholds:
                 if f1 > best:
                     best, best_t = f1, t
             assert threshold == best_t
+
+
+class TestThresholdScanAgainstLoop:
+    @pytest.mark.parametrize("column", ["random", "tied", "all_positive", "all_negative"])
+    def test_equals_the_per_candidate_loop_exactly(self, column):
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            m = int(rng.integers(1, 400))
+            if column == "tied":
+                scores = rng.choice(np.linspace(0.0, 1.0, int(rng.integers(1, 6))), size=m)
+            else:
+                scores = rng.uniform(size=m)
+            labels = {"all_positive": np.ones(m, dtype=np.uint8),
+                      "all_negative": np.zeros(m, dtype=np.uint8)}.get(
+                column, rng.integers(0, 2, size=m).astype(np.uint8))
+            assert _best_threshold(scores, labels) == loop_best_threshold(scores, labels)
 
 
 class TestPredictionSet:

@@ -21,18 +21,21 @@ from slicegraph.errors import (
     VersionMismatchError,
 )
 from slicegraph.graph import GraphConfig, GraphSpec, WeightFn, build_adjacency
+from slicegraph.data import Sample
+from slicegraph.experiments import predict
 from slicegraph.model import (
+    STACK_SIZE,
     ModelParams,
     ParamLayout,
     Variant,
     aggregate_sum,
     bce_loss,
-    forward_trace,
     init_params,
     model_forward,
     prepare_graph,
     relu,
     sigmoid,
+    stack_forward,
 )
 
 
@@ -52,9 +55,9 @@ def one_layer(variant, d, cheb_k=1, **tensors):
 
 
 def layer_output(graph, x, params):
-    """The first conv layer's output, ReLU(pre-activation), via forward_trace."""
-    _, trace = forward_trace(graph, x, params)
-    return relu(trace.layer_traces[0][-1])
+    """The first conv layer's output, ReLU(pre-activation), via stack_forward."""
+    _, layers, _ = stack_forward(graph, np.asarray(x)[None], params)
+    return relu(layers[0][-1])
 
 
 def random_graph(rng, n_max=12):
@@ -264,14 +267,31 @@ class TestModelForward:
             out = model_forward(graph_p, h[perm], params)
             np.testing.assert_allclose(out, base, rtol=0, atol=1e-9)
 
-    def test_forward_trace_logits_match_model_forward(self):
+    def test_stack_forward_logits_match_model_forward(self):
         rng = np.random.default_rng(6)
         graph = random_graph(rng)
         params = init_params(5, 3, Variant.CHEB, seed=9)
         h = rng.normal(size=(graph.adjacency.shape[0], 5))
-        logits, trace = forward_trace(graph, h, params)
-        np.testing.assert_array_equal(logits, model_forward(graph, h, params))
-        np.testing.assert_array_equal(trace.logits, logits)
+        logits, _, _ = stack_forward(graph, h[None], params)
+        np.testing.assert_array_equal(logits[0], model_forward(graph, h, params))
+
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_predict_matches_single_sample_forward_in_input_order(self, variant):
+        rng = np.random.default_rng(12)
+        graph_cfg = GraphConfig(q=2, weight_fn=WeightFn.INVERSE_DM)
+        shapes = [(5, 1.5)] * (STACK_SIZE + 6) + [(6, 1.5)] * 5 + [(5, 3.0)] * 5
+        samples = [Sample(rng.normal(size=(n, 4)).astype(np.float32),
+                          rng.integers(0, 2, size=2).astype(np.uint8), spacing)
+                   for n, spacing in (shapes[i] for i in rng.permutation(len(shapes)))]
+        params = init_params(4, 2, variant, seed=3)
+        got = predict(params, graph_cfg, samples)
+        want = np.stack([
+            sigmoid(model_forward(
+                prepare_graph(graph_cfg.spec_for(s.features.shape[0], s.spacing_z_mm)),
+                s.features, params))
+            for s in samples])
+        np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got.labels, np.stack([s.labels for s in samples]))
 
     def test_rejects_wrong_feature_width(self):
         graph = prepare_graph(spec_of(4, 2))
