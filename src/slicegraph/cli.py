@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import SynthTaskConfig, generate_task, read_dataset, write_dataset
+from .data import SynthTaskConfig, generate_split, generate_task, read_dataset, write_dataset
 from .errors import BinaryFormatError, ConfigError, NumericError
 from .experiments import (
     DEFAULT_SHIFTS,
@@ -42,7 +42,7 @@ from .experiments import (
 from .gradients import run_gradcheck
 from .graph import GraphConfig, GraphSpec, WeightFn, build_adjacency, build_edge_set, degree_vector
 from .metrics import evaluate, select_thresholds
-from .model import Variant
+from .model import GraphOperatorCache, Variant
 from .spectral import lambda_max, laplacian, scale_laplacian
 from .train import TrainConfig, train
 
@@ -196,19 +196,20 @@ def _require_out(args) -> Path:
     return out
 
 
-def _load_splits(settings: Settings, data_dir) -> tuple[Settings, list, list, list]:
-    """The three splits of a gen-data directory, and the settings with
-    `q=full` resolved against the largest volume loaded. A split whose d
-    or n_labels differs from the train split's raises BinaryFormatError."""
+def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
+    """The settings, then the named splits of a gen-data directory. Every
+    split must have the (d, n_labels) `shape` that `source` has (default:
+    the first split's), or BinaryFormatError is raised before anything
+    runs. With `q=full`, q resolves against the largest volume loaded."""
     base = Path(data_dir)
-    splits = (read_dataset(base / "train"),
-              read_dataset(base / "val"),
-              read_dataset(base / "test"))
-    (d, n_labels), *others = [(s[0].features.shape[1], s[0].labels.size) for s in splits]
-    for name, (d_other, n_other) in zip(("val", "test"), others):
-        if (d_other, n_other) != (d, n_labels):
-            raise BinaryFormatError(f"{base / name}: d={d_other}, n_labels={n_other}; "
-                                    f"{base / 'train'} has d={d}, n_labels={n_labels}")
+    splits = [read_dataset(base / name) for name in names]
+    shapes = [(split[0].features.shape[1], split[0].labels.size) for split in splits]
+    if shape is None:
+        shape, source = shapes[0], base / names[0]
+    for name, (d, n_labels) in zip(names, shapes):
+        if (d, n_labels) != shape:
+            raise BinaryFormatError(f"{base / name}: d={d}, n_labels={n_labels}; "
+                                    f"{source} has d={shape[0]}, n_labels={shape[1]}")
     if settings.q_full:
         n_max = max(s.features.shape[0] for split in splits for s in split)
         settings = replace(settings, graph=replace(settings.graph, q=resolve_q("full", n_max)))
@@ -235,14 +236,15 @@ def cmd_train(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
     if getattr(args, "data", None):
-        settings, train_set, val_set, test_set = _load_splits(settings, args.data)
+        settings, train_set, val_set, test_set = _load_splits(
+            settings, args.data, ("train", "val", "test"))
     else:
         train_set, val_set, test_set = generate_task(settings.task)
 
     result = train(train_set, val_set, settings.graph, settings.variant,
                    settings.train, out_dir=out)
-    thresholds = select_thresholds(predict(result.params, settings.graph, val_set))
-    report = evaluate(predict(result.params, settings.graph, test_set),
+    thresholds = select_thresholds(predict(result.params, result.graphs, val_set))
+    report = evaluate(predict(result.params, result.graphs, test_set),
                       thresholds, include_micro=settings.micro)
 
     _write_json(out / "config.json", _resolved_config(settings))
@@ -258,12 +260,17 @@ def cmd_eval(args) -> int:
     settings = build_settings(args)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "data", None):
-        settings, _, val_set, test_set = _load_splits(settings, args.data)
+        # train/ is read only for the largest n_nodes that q=full resolves against
+        names = ("train", "val", "test") if settings.q_full else ("val", "test")
+        settings, *splits = _load_splits(settings, args.data, names,
+                                         (params.d, params.n_labels), args.checkpoint)
+        val_set, test_set = splits[-2:]
     else:
-        _, val_set, test_set = generate_task(settings.task)
+        val_set, test_set = (generate_split(settings.task, name) for name in ("val", "test"))
 
-    thresholds = select_thresholds(predict(params, settings.graph, val_set))
-    report = evaluate(predict(params, settings.graph, test_set),
+    graphs = GraphOperatorCache(settings.graph)
+    thresholds = select_thresholds(predict(params, graphs, val_set))
+    report = evaluate(predict(params, graphs, test_set),
                       thresholds, include_micro=settings.micro)
     payload = report.to_dict()
     payload["thresholds"] = [float(t) for t in thresholds]

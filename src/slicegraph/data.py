@@ -65,7 +65,7 @@ class Sample:
             raise ValueError(f"spacing_z_mm must be positive, got {self.spacing_z_mm}")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be binary (0/1)")
 
 
@@ -212,7 +212,7 @@ def write_features(path, sample: Sample) -> None:
     """
     n, d = sample.features.shape
     labels = np.asarray(sample.labels)
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0/1")
     parts = [
         _HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, n, d, labels.size,
@@ -224,7 +224,9 @@ def write_features(path, sample: Sample) -> None:
 
 
 def read_features(path) -> Sample:
-    """Inverse of `write_features`; bit-exact round-trip for f32 features."""
+    """Inverse of `write_features`; bit-exact round-trip for f32 features.
+    Content that `Sample` rejects (a label byte other than 0/1, non-finite
+    features, spacing <= 0) raises BinaryFormatError."""
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:
         raise BadMagicError(
@@ -246,10 +248,11 @@ def read_features(path) -> Sample:
             f"feature payload: expected {expected} bytes, got {len(body)}"
         )
     labels = np.frombuffer(body[:n_labels], dtype=np.uint8).copy()
-    if not np.isin(labels, (0, 1)).all():
-        raise BinaryFormatError("label bytes must be 0 or 1")
     features = np.frombuffer(body[n_labels:], dtype="<f4").reshape(n, d).copy()
-    return Sample(features, labels, spacing)
+    try:
+        return Sample(features, labels, spacing)
+    except ValueError as exc:
+        raise BinaryFormatError(f"{path}: {exc}") from exc
 
 
 def write_dataset(directory, samples) -> None:

@@ -62,13 +62,14 @@ def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
     return replace(base, **overrides)
 
 
-def predict(params: ModelParams, graph_cfg: GraphConfig,
+def predict(params: ModelParams, graphs: GraphOperatorCache,
             samples: list[Sample]) -> PredictionSet:
     """Sigmoid scores and true labels for a list of samples, in input order;
-    one forward pass per stack of samples sharing (n_nodes, spacing)."""
-    cache = GraphOperatorCache(graph_cfg)
+    one forward pass per stack of samples sharing (n_nodes, spacing). The
+    graphs come from, and are added to, `graphs`, so every call of one
+    command prepares each graph once."""
     scores = np.empty((len(samples), params.n_labels))
-    for graph, idx in graph_stacks(cache.for_sample(s) for s in samples):
+    for graph, idx in graph_stacks(graphs.for_sample(s) for s in samples):
         stack = np.stack([samples[i].features for i in idx])
         scores[idx] = sigmoid(stack_forward(graph, stack, params)[0])
     labels = np.stack([s.labels for s in samples])
@@ -82,13 +83,13 @@ def train_and_evaluate(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     """Generate the task, train, pick thresholds on val, report on test."""
     train_set, val_set, test_set = generate_task(task_cfg)
     result = train(train_set, val_set, graph_cfg, variant, train_cfg, out_dir=out_dir)
-    thresholds = select_thresholds(predict(result.params, graph_cfg, val_set))
-    report = evaluate(predict(result.params, graph_cfg, test_set), thresholds,
+    thresholds = select_thresholds(predict(result.params, result.graphs, val_set))
+    report = evaluate(predict(result.params, result.graphs, test_set), thresholds,
                       include_micro=include_micro)
     return result, thresholds, report
 
 
-def robustness_sweep(params: ModelParams, graph_cfg: GraphConfig,
+def robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
                      samples: list[Sample], thresholds, shifts,
                      *, pad_feature=None, mode: str = "pad") -> list[dict]:
     """F1 at each axial shift of the evaluation samples.
@@ -105,7 +106,7 @@ def robustness_sweep(params: ModelParams, graph_cfg: GraphConfig,
             apply_z_shift(s, shift, pad_feature, wrap=(mode == "wrap"))
             for s in samples
         ]
-        report = evaluate(predict(params, graph_cfg, shifted), thresholds)
+        report = evaluate(predict(params, graphs, shifted), thresholds)
         curve.append({
             "shift": int(shift),
             "macro_f1": report.macro["f1"],
@@ -133,12 +134,13 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
         "variants": {},
     }
     trained: dict[Variant, ModelParams] = {}
+    graphs = GraphOperatorCache(graph_cfg)
     for variant in (Variant.CHEB, Variant.GRAPHCONV):
-        result = train(train_set, val_set, graph_cfg, variant, train_cfg)
+        result = train(train_set, val_set, graphs, variant, train_cfg)
         trained[variant] = result.params
-        thresholds = select_thresholds(predict(result.params, graph_cfg, val_set))
-        baseline = evaluate(predict(result.params, graph_cfg, test_set), thresholds)
-        curve = robustness_sweep(result.params, graph_cfg, test_set, thresholds,
+        thresholds = select_thresholds(predict(result.params, graphs, val_set))
+        baseline = evaluate(predict(result.params, graphs, test_set), thresholds)
+        curve = robustness_sweep(result.params, graphs, test_set, thresholds,
                                  shifts, mode=mode)
         out["variants"][variant.value] = {
             "baseline_macro_f1": baseline.macro["f1"],
@@ -147,13 +149,14 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
         }
 
     n_nodes = task_cfg.n_nodes
-    control_cfg = GraphConfig(q=n_nodes - 1, weight_fn=WeightFn.CONSTANT)
+    control_graphs = GraphOperatorCache(GraphConfig(q=n_nodes - 1,
+                                                    weight_fn=WeightFn.CONSTANT))
     control_params = trained[Variant.CHEB]
-    control_thresholds = select_thresholds(predict(control_params, control_cfg, val_set))
+    control_thresholds = select_thresholds(predict(control_params, control_graphs, val_set))
     out["control"] = {
         "graph": {"q": n_nodes - 1, "weight_fn": WeightFn.CONSTANT.value},
         "mode": "wrap",
-        "curve": robustness_sweep(control_params, control_cfg, test_set,
+        "curve": robustness_sweep(control_params, control_graphs, test_set,
                                   control_thresholds, shifts, mode="wrap"),
     }
 
@@ -228,7 +231,7 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
         for q in grid.qs:
             q_resolved = resolve_q(q, task_cfg.n_nodes)
             for weight_fn in grid.weight_fns:
-                graph_cfg = GraphConfig(q=q_resolved, weight_fn=weight_fn)
+                graphs = GraphOperatorCache(GraphConfig(q=q_resolved, weight_fn=weight_fn))
                 cell = {
                     "variant": variant.value,
                     "q": q_resolved,
@@ -240,11 +243,11 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
                     runs = []
                     for run_idx in range(grid.n_seeds):
                         cfg_run = replace(train_cfg, seed=train_cfg.seed + run_idx)
-                        result = train(train_set, val_set, graph_cfg, variant, cfg_run)
+                        result = train(train_set, val_set, graphs, variant, cfg_run)
                         thresholds = select_thresholds(
-                            predict(result.params, graph_cfg, val_set))
+                            predict(result.params, graphs, val_set))
                         report = evaluate(
-                            predict(result.params, graph_cfg, test_set), thresholds)
+                            predict(result.params, graphs, test_set), thresholds)
                         runs.append({key: report.macro[key] for key in _CELL_METRICS})
                     cell["runs"] = runs
                     cell["mean"], cell["std"] = _summarise(runs)

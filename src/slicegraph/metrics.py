@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "PredictionSet",
@@ -98,7 +97,10 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores)  # average ranks; exact halves, so sums stay exact
+    # average ranks: a run of `count` tied values ending at rank `end` shares
+    # end - (count - 1) / 2; exact halves, so sums stay exact
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

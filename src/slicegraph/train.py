@@ -121,6 +121,7 @@ def adamw_step(params: ModelParams, grads: np.ndarray, state: OptimState,
 class TrainResult:
     params: ModelParams
     loss_curve: list[dict]
+    graphs: GraphOperatorCache  # the operators training prepared, for scoring
     snapshots: list[tuple[int, ModelParams]] = field(default_factory=list)
     checkpoint_paths: list[Path] = field(default_factory=list)
 
@@ -129,7 +130,7 @@ def _checkpoint_marks(total_steps: int) -> set[int]:
     return {max(1, round(total_steps * f)) for f in _CHECKPOINT_FRACTIONS}
 
 
-def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
+def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant: Variant,
           cfg: TrainConfig, *, cheb_k: int = 3, n_layers: int = 3,
           head_hidden: int | None = None, initial_params: ModelParams | None = None,
           out_dir=None, log_path=None) -> TrainResult:
@@ -138,10 +139,12 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
     optimizer moments always start at zero).
 
     `val_set` is carried for downstream threshold selection and is not
-    touched by the loop itself. Per-sample graphs come from `graph_cfg`
-    plus each sample's own z spacing. Emits a (step, lr, loss) line
-    every `cfg.log_every` steps to `log_path` (newline-delimited JSON)
-    and snapshots parameters at every quarter of the run.
+    touched by the loop itself. Per-sample graphs come from `graphs` (a
+    GraphConfig, or a GraphOperatorCache to fill and share) plus each
+    sample's own z spacing; the cache is returned as `TrainResult.graphs`.
+    Emits a (step, lr, loss) line every `cfg.log_every` steps to
+    `log_path` (newline-delimited JSON) and snapshots parameters at every
+    quarter of the run.
 
     Raises NumericError with step/lr/gradient-norm diagnostics if the
     loss stops being finite.
@@ -164,7 +167,8 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
         params = init_params(d, n_labels, variant, n_layers=n_layers,
                              cheb_k=cheb_k, head_hidden=head_hidden, seed=cfg.seed)
     state = init_optim_state(params)
-    cache = GraphOperatorCache(graph_cfg)
+    if isinstance(graphs, GraphConfig):
+        graphs = GraphOperatorCache(graphs)
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence((cfg.seed, _SHUFFLE_STREAM)))
     )
@@ -191,7 +195,7 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
             batch = [train_set[i] for i in order[cursor:cursor + cfg.batch_size]]
             cursor += cfg.batch_size
 
-            items = [(cache.for_sample(s), s.features, s.labels) for s in batch]
+            items = [(graphs.for_sample(s), s.features, s.labels) for s in batch]
             loss, grads = backward(items, params)
             lr = lr_at(step, cfg)
             if not math.isfinite(loss):
@@ -221,4 +225,4 @@ def train(train_set, val_set, graph_cfg: GraphConfig, variant: Variant,
         final_path = out_dir / "checkpoint.ctgc"
         save_checkpoint(final_path, params)
         paths.append(final_path)
-    return TrainResult(params, curve, snapshots, paths)
+    return TrainResult(params, curve, graphs, snapshots, paths)

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import slicegraph
+import slicegraph.cli
+import slicegraph.model
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
-from slicegraph.data import Sample, read_dataset, write_features
+from slicegraph.data import Sample, read_dataset, write_dataset, write_features
 from slicegraph.graph import WeightFn
 from slicegraph.model import Variant, init_params
 
@@ -38,6 +40,54 @@ def tiny_config(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env(**overrides):
+    """Environment for a child interpreter that imports this slicegraph."""
+    src = str(Path(slicegraph.__file__).resolve().parents[1])
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+# (n_nodes, spacing_mm) of each split's volumes: every split shares some
+# graphs with another and has one of its own
+MIXED_KEYS = {
+    "train": [(5, 1.0), (6, 1.0), (7, 2.0)],
+    "val": [(5, 1.0), (6, 2.0), (8, 1.0)],
+    "test": [(6, 2.0), (7, 2.0), (8, 2.0)],
+}
+
+
+def write_mixed_volumes(base):
+    rng = np.random.default_rng(5)
+    for split, keys in MIXED_KEYS.items():
+        write_dataset(base / split, [
+            Sample(rng.normal(size=(n, TINY["d"])).astype(np.float32),
+                   np.array([i % 2, 1 - i % 2], dtype=np.uint8), spacing)
+            for n, spacing in keys for i in range(3)])
+
+
+@pytest.fixture()
+def prepared_graphs(monkeypatch):
+    """Every (n_nodes, spacing) that `model.prepare_graph` builds."""
+    calls = []
+    original = slicegraph.model.prepare_graph
+
+    def counting(spec):
+        calls.append((spec.n_nodes, spec.spacing_z))
+        return original(spec)
+
+    monkeypatch.setattr(slicegraph.model, "prepare_graph", counting)
+    return calls
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        probe = ("import slicegraph.cli, sys; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
 
 class TestGenData:
@@ -124,6 +174,15 @@ class TestTrain:
         assert not list(out.glob("*.ctgc"))
 
 
+    def test_prepares_each_graph_once(self, tmp_path, tiny_config, prepared_graphs):
+        data = tmp_path / "data"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--out", tmp_path / "run") == 0
+        distinct = {key for keys in MIXED_KEYS.values() for key in keys}
+        assert len(prepared_graphs) == len(set(prepared_graphs)) == len(distinct)
+
+
 class TestBlasThreadCount:
     @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
     def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path, variant):
@@ -135,15 +194,13 @@ class TestBlasThreadCount:
             "total_steps": 6, "warmup_steps": 2, "batch_size": 32, "log_every": 2}))
         data = tmp_path / "data"
         assert run_cli("gen-data", "--config", config, "--out", data) == 0
-        src = str(Path(slicegraph.__file__).resolve().parents[1])
         runs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
             subprocess.run([sys.executable, "-m", "slicegraph.cli", "train", "--config", config,
                             "--data", data, "--variant", variant, "--out", out],
-                           env=env, check=True, capture_output=True, timeout=300)
+                           env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                           capture_output=True, timeout=300)
             runs[threads] = [(out / name).read_bytes()
                              for name in ("checkpoint.ctgc", "train_log.ndjson")]
         assert runs["1"] == runs["2"]
@@ -162,6 +219,54 @@ class TestEval:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["checkpoint"].endswith("checkpoint.ctgc")
         assert (out / "metrics.json").exists()
+
+    def test_prepares_each_scored_graph_once(self, tmp_path, tiny_config, prepared_graphs):
+        data, run = tmp_path / "data", tmp_path / "run"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data, "--out", run) == 0
+        prepared_graphs.clear()
+        assert run_cli("eval", "--config", tiny_config, "--data", data,
+                       "--checkpoint", run / "checkpoint.ctgc") == 0
+        scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
+        assert len(prepared_graphs) == len(set(prepared_graphs)) == len(scored)
+
+    def test_reads_train_split_only_for_q_full(self, tmp_path, tiny_config):
+        data, run = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
+        argv = ("eval", "--config", tiny_config, "--data", data,
+                "--checkpoint", run / "checkpoint.ctgc")
+        assert run_cli(*argv, "--q", 4, "--out", tmp_path / "with-train") == 0
+        shutil.rmtree(data / "train")
+        assert run_cli(*argv, "--q", 4, "--out", tmp_path / "without-train") == 0
+        assert (tmp_path / "with-train" / "metrics.json").read_bytes() == \
+            (tmp_path / "without-train" / "metrics.json").read_bytes()
+        # q=full resolves against the largest n_nodes of all three splits
+        assert run_cli(*argv, "--q", "full") == 4
+
+    @pytest.mark.parametrize("odd, splits", [
+        ({"d": 8}, ("train", "val", "test")),
+        ({"n_labels": 3, "diffuse_labels": [1, 2]}, ("train", "val", "test")),
+        ({"d": 8}, ("test",)),
+    ], ids=["d", "n_labels", "d_test_only"])
+    def test_split_unlike_checkpoint_is_io_error_before_scoring(
+            self, tmp_path, tiny_config, monkeypatch, odd, splits):
+        data, other, run = tmp_path / "data", tmp_path / "other", tmp_path / "run"
+        other_config = tmp_path / "other.json"
+        other_config.write_text(json.dumps({**TINY, **odd}))
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        run_cli("gen-data", "--config", other_config, "--out", other)
+        run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
+        for split in splits:
+            shutil.rmtree(data / split)
+            shutil.move(other / split, data / split)
+        scored = []
+        monkeypatch.setattr(slicegraph.cli, "predict", lambda *a: scored.append(a))
+        assert run_cli("eval", "--config", tiny_config, "--data", data,
+                       "--checkpoint", run / "checkpoint.ctgc",
+                       "--out", tmp_path / "eval") == 4
+        assert not scored
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, tiny_config):
         bogus = tmp_path / "bogus.ctgc"

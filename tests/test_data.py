@@ -1,5 +1,7 @@
 """Synthetic task generation, axial shifts, and the feature-file format."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,11 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(np.zeros((3, 2), dtype=np.float32),
                    np.array([2, 0], dtype=np.uint8), 1.5)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [-1, 1], [1, 256]])
+    def test_rejects_fractional_negative_and_wide_labels(self, labels):
+        with pytest.raises(ValueError, match="binary"):
+            Sample(np.zeros((3, 2), dtype=np.float32), np.array(labels), 1.5)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
@@ -328,6 +335,22 @@ class TestFeatureFile:
         raw[28] = 7  # first label byte, just past the 28-byte header
         path.write_bytes(bytes(raw))
         with pytest.raises(BinaryFormatError):
+            read_features(path)
+
+
+    @pytest.mark.parametrize("offset, value", [
+        (20, struct.pack("<d", 0.0)),            # spacing_z_mm
+        (28 + 2, struct.pack("<f", np.nan)),     # first feature, past 2 label bytes
+        (28 + 1, b"\xff"),                       # second label byte
+    ], ids=["zero_spacing", "nan_feature", "label_byte_255"])
+    def test_content_that_sample_rejects_is_a_format_error(self, tmp_path, offset, value):
+        s = random_sample(np.random.default_rng(0), n=3, d=2, n_labels=2)
+        path = tmp_path / "s.ctgf"
+        write_features(path, s)
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(BinaryFormatError, match="s.ctgf"):
             read_features(path)
 
 

@@ -25,6 +25,7 @@ from slicegraph.data import Sample
 from slicegraph.experiments import predict
 from slicegraph.model import (
     STACK_SIZE,
+    GraphOperatorCache,
     ModelParams,
     ParamLayout,
     Variant,
@@ -284,7 +285,7 @@ class TestModelForward:
                           rng.integers(0, 2, size=2).astype(np.uint8), spacing)
                    for n, spacing in (shapes[i] for i in rng.permutation(len(shapes)))]
         params = init_params(4, 2, variant, seed=3)
-        got = predict(params, graph_cfg, samples)
+        got = predict(params, GraphOperatorCache(graph_cfg), samples)
         want = np.stack([
             sigmoid(model_forward(
                 prepare_graph(graph_cfg.spec_for(s.features.shape[0], s.spacing_z_mm)),
