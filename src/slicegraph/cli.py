@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import SynthTaskConfig, generate_split, generate_task, read_dataset, write_dataset
+from .data import (SynthTaskConfig, generate_split, generate_task, read_dataset, read_headers,
+                   write_dataset)
 from .errors import BinaryFormatError, ConfigError, NumericError
 from .experiments import (
     DEFAULT_SHIFTS,
@@ -196,23 +197,31 @@ def _require_out(args) -> Path:
     return out
 
 
-def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
+def _load_splits(settings: Settings, data_dir, names, shape=None, source=None, sized=()):
     """The settings, then the named splits of a gen-data directory. Every
     split must have the (d, n_labels) `shape` that `source` has (default:
     the first split's), or BinaryFormatError is raised before anything
-    runs. With `q=full`, q resolves against the largest volume loaded."""
+    runs. With `q=full`, q resolves against the largest volume loaded or
+    in the `sized` splits, of which only the file headers are read."""
     base = Path(data_dir)
     splits = [read_dataset(base / name) for name in names]
-    shapes = [(split[0].features.shape[1], split[0].labels.size) for split in splits]
+    shapes = [(name, split[0].features.shape[1], split[0].labels.size)
+              for name, split in zip(names, splits)]
     if shape is None:
-        shape, source = shapes[0], base / names[0]
-    for name, (d, n_labels) in zip(names, shapes):
+        shape, source = shapes[0][1:], base / names[0]
+    n_nodes = [s.features.shape[0] for split in splits for s in split]
+    if settings.q_full:
+        for name in sized:
+            headers = read_headers(base / name)
+            shapes += [(name, d, n_labels) for _, d, n_labels in headers]
+            n_nodes += [n for n, _, _ in headers]
+    for name, d, n_labels in shapes:
         if (d, n_labels) != shape:
             raise BinaryFormatError(f"{base / name}: d={d}, n_labels={n_labels}; "
                                     f"{source} has d={shape[0]}, n_labels={shape[1]}")
     if settings.q_full:
-        n_max = max(s.features.shape[0] for split in splits for s in split)
-        settings = replace(settings, graph=replace(settings.graph, q=resolve_q("full", n_max)))
+        settings = replace(settings, graph=replace(settings.graph,
+                                                   q=resolve_q("full", max(n_nodes))))
     return (settings, *splits)
 
 
@@ -260,11 +269,11 @@ def cmd_eval(args) -> int:
     settings = build_settings(args)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "data", None):
-        # train/ is read only for the largest n_nodes that q=full resolves against
-        names = ("train", "val", "test") if settings.q_full else ("val", "test")
-        settings, *splits = _load_splits(settings, args.data, names,
-                                         (params.d, params.n_labels), args.checkpoint)
-        val_set, test_set = splits[-2:]
+        # train/ holds the largest n_nodes that q=full resolves against; its
+        # headers alone give it
+        settings, val_set, test_set = _load_splits(
+            settings, args.data, ("val", "test"), (params.d, params.n_labels),
+            args.checkpoint, sized=("train",))
     else:
         val_set, test_set = (generate_split(settings.task, name) for name in ("val", "test"))
 

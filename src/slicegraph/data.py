@@ -34,6 +34,7 @@ __all__ = [
     "apply_z_shift",
     "write_features",
     "read_features",
+    "read_headers",
     "write_dataset",
     "read_dataset",
     "FEATURE_MAGIC",
@@ -59,6 +60,8 @@ class Sample:
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.features.shape[0] < 2:
+            raise ValueError(f"a volume needs at least 2 nodes, got {self.features.shape[0]}")
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
         if not self.spacing_z_mm > 0:
@@ -223,30 +226,38 @@ def write_features(path, sample: Sample) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_features(path) -> Sample:
-    """Inverse of `write_features`; bit-exact round-trip for f32 features.
-    Content that `Sample` rejects (a label byte other than 0/1, non-finite
-    features, spacing <= 0) raises BinaryFormatError."""
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != FEATURE_MAGIC:
+def _read_header(head: bytes, size: int) -> tuple[int, int, int, float]:
+    """(n_nodes, d, n_labels, spacing_z_mm) from the first bytes `head` of
+    a feature file of `size` bytes, after checking the magic, the version
+    and that the size is the one the header implies."""
+    if len(head) < 4 or head[:4] != FEATURE_MAGIC:
         raise BadMagicError(
-            f"not a feature file: expected magic {FEATURE_MAGIC!r}, got {data[:4]!r}"
+            f"not a feature file: expected magic {FEATURE_MAGIC!r}, got {head[:4]!r}"
         )
-    if len(data) < _HEADER.size:
+    if len(head) < _HEADER.size:
         raise TruncatedPayloadError(
-            f"feature file header needs {_HEADER.size} bytes, file has {len(data)}"
+            f"feature file header needs {_HEADER.size} bytes, file has {len(head)}"
         )
-    _, version, n, d, n_labels, spacing = _HEADER.unpack_from(data)
+    _, version, n, d, n_labels, spacing = _HEADER.unpack_from(head)
     if version != FEATURE_VERSION:
         raise VersionMismatchError(
             f"feature file version {version}, this build reads {FEATURE_VERSION}"
         )
-    body = data[_HEADER.size:]
     expected = n_labels + 4 * n * d
-    if len(body) != expected:
+    if size - _HEADER.size != expected:
         raise TruncatedPayloadError(
-            f"feature payload: expected {expected} bytes, got {len(body)}"
+            f"feature payload: expected {expected} bytes, got {size - _HEADER.size}"
         )
+    return n, d, n_labels, spacing
+
+
+def read_features(path) -> Sample:
+    """Inverse of `write_features`; bit-exact round-trip for f32 features.
+    Content that `Sample` rejects (fewer than 2 nodes, a label byte other
+    than 0/1, non-finite features, spacing <= 0) raises BinaryFormatError."""
+    data = Path(path).read_bytes()
+    n, d, n_labels, spacing = _read_header(data, len(data))
+    body = data[_HEADER.size:]
     labels = np.frombuffer(body[:n_labels], dtype=np.uint8).copy()
     features = np.frombuffer(body[n_labels:], dtype="<f4").reshape(n, d).copy()
     try:
@@ -263,14 +274,18 @@ def write_dataset(directory, samples) -> None:
         write_features(directory / f"{i:05d}.ctgf", sample)
 
 
+def _dataset_paths(directory) -> list[Path]:
+    paths = sorted(Path(directory).glob("*.ctgf"))
+    if not paths:
+        raise FileNotFoundError(f"no .ctgf files in {directory}")
+    return paths
+
+
 def read_dataset(directory) -> list[Sample]:
     """Every feature file in `directory`, in name order. All must share the
     first file's feature width d and label count; the first file that
     does not raises BinaryFormatError."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.ctgf"))
-    if not paths:
-        raise FileNotFoundError(f"no .ctgf files in {directory}")
+    paths = _dataset_paths(directory)
     samples = [read_features(p) for p in paths]
     d, n_labels = samples[0].features.shape[1], samples[0].labels.size
     for path, sample in zip(paths, samples):
@@ -279,3 +294,14 @@ def read_dataset(directory) -> list[Sample]:
                 f"{path}: d={sample.features.shape[1]}, n_labels={sample.labels.size}; "
                 f"{paths[0].name} has d={d}, n_labels={n_labels}")
     return samples
+
+
+def read_headers(directory) -> list[tuple[int, int, int]]:
+    """(n_nodes, d, n_labels) of every feature file in `directory`, in name
+    order, from the 28-byte headers alone, checked as `read_features`
+    checks them (magic, version, file size); no payload is read."""
+    headers = []
+    for path in _dataset_paths(directory):
+        with open(path, "rb") as f:
+            headers.append(_read_header(f.read(_HEADER.size), path.stat().st_size)[:3])
+    return headers

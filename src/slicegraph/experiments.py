@@ -18,7 +18,7 @@ import numpy as np
 from .data import Sample, SynthTaskConfig, apply_z_shift, generate_task
 from .graph import GraphConfig, WeightFn
 from .metrics import MetricsReport, PredictionSet, evaluate, select_thresholds
-from .model import GraphOperatorCache, ModelParams, Variant, graph_stacks, sigmoid, stack_forward
+from .model import GraphOperatorCache, ModelParams, Variant, graph_passes, pass_forward, sigmoid
 from .train import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -65,13 +65,15 @@ def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
 def predict(params: ModelParams, graphs: GraphOperatorCache,
             samples: list[Sample]) -> PredictionSet:
     """Sigmoid scores and true labels for a list of samples, in input order;
-    one forward pass per stack of samples sharing (n_nodes, spacing). The
-    graphs come from, and are added to, `graphs`, so every call of one
-    command prepares each graph once."""
+    one forward pass per pass from `graph_passes`, whatever the samples'
+    (n_nodes, spacing). The graphs come from, and are added to, `graphs`,
+    so every call of one command prepares each graph once."""
     scores = np.empty((len(samples), params.n_labels))
-    for graph, idx in graph_stacks(graphs.for_sample(s) for s in samples):
-        stack = np.stack([samples[i].features for i in idx])
-        scores[idx] = sigmoid(stack_forward(graph, stack, params)[0])
+    for blocks in graph_passes(graphs.for_sample(s) for s in samples):
+        idx = [i for _, run in blocks for i in run]
+        rows = np.concatenate([samples[i].features for i in idx])
+        counts = [(graph, len(run)) for graph, run in blocks]
+        scores[idx] = sigmoid(pass_forward(counts, rows, params)[0])
     labels = np.stack([s.labels for s in samples])
     return PredictionSet(scores, labels)
 

@@ -1,7 +1,9 @@
 """Exact reverse-mode gradients for the graph classifier.
 
 The architecture is fixed, so the backward pass is written out by hand
-rather than through a tape, once per stack of samples sharing a graph.
+rather than through a tape, once per pass of samples: the weight
+gradients run over all of a pass's node rows, the graph operator's
+adjoint per graph.
 `finite_diff_grad` is the independent central-difference oracle used to
 validate it.
 """
@@ -16,12 +18,13 @@ from .model import (
     SampleGraph,
     Variant,
     bce_loss,
-    graph_stacks,
+    graph_passes,
     init_params,
     model_forward,
+    pass_forward,
+    per_graph,
     prepare_graph,
     sigmoid,
-    stack_forward,
 )
 
 __all__ = [
@@ -46,7 +49,7 @@ KINK_MARGIN = 1e-3
 
 def _kink_distance(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> float:
     """Distance from the nearest ReLU hinge over every pre-activation."""
-    _, layers, (_, head_pre, _) = stack_forward(graph, np.asarray(h)[None], params)
+    _, layers, (_, head_pre, _) = pass_forward([(graph, 1)], h, params)
     return min(float(np.abs(pre).min()) for pre in [t[-1] for t in layers] + [head_pre])
 
 
@@ -62,80 +65,94 @@ def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return signed / x.size
 
 
-def _stack_backward(graph: SampleGraph, x: np.ndarray, labels: np.ndarray,
-                    params: ModelParams, share: float) -> tuple[float, np.ndarray]:
-    """Mean loss and its flat gradient over one (B, n_nodes, d) stack, both
-    scaled by the stack's `share` of the batch."""
-    logits, layers, (pooled, head_pre, head_act) = stack_forward(graph, x, params)
-    loss = share * bce_loss(logits, labels)
-
-    grad = np.zeros(params.layout.size)
+def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
+                   grad: np.ndarray) -> None:
+    """Add one pass's part of d(loss)/d(params.flat) into `grad`, from
+    what `pass_forward` saved and the loss gradient at its logits."""
+    layers, (pooled, head_pre, head_act) = saved
     layer_grads, head_grad = params.layout.group(grad)
 
     head = params.head
-    d_logits = share * bce_grad_logits(logits, labels)
-    head_grad["w2"][...] = head_act.T @ d_logits
-    head_grad["b2"][...] = d_logits.sum(axis=0)
+    head_grad["w2"] += head_act.T @ d_logits
+    head_grad["b2"] += d_logits.sum(axis=0)
     d_pre = (d_logits @ head["w2"].T) * (head_pre > 0)
-    head_grad["w1"][...] = pooled.T @ d_pre
-    head_grad["b1"][...] = d_pre.sum(axis=0)
+    head_grad["w1"] += pooled.T @ d_pre
+    head_grad["b1"] += d_pre.sum(axis=0)
 
     # Sum pooling broadcasts each sample's pooled gradient back to its node rows.
-    n_samples, n_nodes, d = x.shape
-    dz = np.repeat(d_pre @ head["w1"].T, n_nodes, axis=0)
+    node_rows = ([graph.n_nodes for graph, b in blocks for _ in range(b)] if len(blocks) > 1
+                 else blocks[0][0].n_nodes)
+    dz = np.repeat(d_pre @ head["w1"].T, node_rows, axis=0)
+    d = params.d
 
     cheb = params.variant is Variant.CHEB
-    for layer, layer_grad, saved in zip(
+    for layer, layer_grad, (z_in, mid, pre) in zip(
             reversed(params.layers), reversed(layer_grads), reversed(layers)):
+        d_pre_l = dz * (pre > 0)
         if cheb:
-            basis, filtered, pre = saved
-            d_pre_l = dz * (pre > 0)
-            layer_grad["ff_weight"][...] = filtered.T @ d_pre_l
-            layer_grad["ff_bias"][...] = d_pre_l.sum(axis=0)
+            basis, filtered = z_in, mid
+            layer_grad["ff_weight"] += filtered.T @ d_pre_l
+            layer_grad["ff_bias"] += d_pre_l.sum(axis=0)
             d_filtered = d_pre_l @ layer["ff_weight"].T
 
             thetas = layer["thetas"]
             order = thetas.shape[0]
-            layer_grad["thetas"][...] = (basis.T @ d_filtered).reshape(order, d, d)
-
-            # Adjoint of the three-term recurrence. g[k] holds the gradient
-            # reaching T_k(lhat) Z; lhat is symmetric so its transpose is itself.
-            lhat_m = graph.lhat.values
-            g = (d_filtered @ thetas.transpose(0, 2, 1)).reshape(order, n_samples, n_nodes, d)
-            for k in range(order - 1, 1, -1):
-                g[k - 1] += 2.0 * (lhat_m @ g[k])
-                g[k - 2] -= g[k]
-            if order > 1:
-                g[0] += lhat_m @ g[1]
-            dz = g[0].reshape(-1, d)
+            layer_grad["thetas"] += (basis.T @ d_filtered).reshape(order, d, d)
+            # Adjoint of the three-term recurrence, per graph on its own rows
+            # of g, in place. g[k] holds the gradient reaching T_k(lhat) Z;
+            # lhat is symmetric so its transpose is itself.
+            g = d_filtered @ thetas.transpose(0, 2, 1)
+            start = 0
+            for graph, b in blocks:
+                stop = start + b * graph.n_nodes
+                lhat_m = graph.lhat.values
+                g_graph = g[:, start:stop].reshape(order, b, graph.n_nodes, d)
+                for k in range(order - 1, 1, -1):
+                    g_graph[k - 1] += 2.0 * (lhat_m @ g_graph[k])
+                    g_graph[k - 2] -= g_graph[k]
+                if order > 1:
+                    g_graph[0] += lhat_m @ g_graph[1]
+                start = stop
+            dz = g[0]
         else:
-            z_in, neigh, pre = saved
-            d_pre_l = dz * (pre > 0)
-            layer_grad["w_self"][...] = z_in.T @ d_pre_l
-            layer_grad["w_neigh"][...] = neigh.T @ d_pre_l
-            layer_grad["bias"][...] = d_pre_l.sum(axis=0)
+            neigh = mid
+            layer_grad["w_self"] += z_in.T @ d_pre_l
+            layer_grad["w_neigh"] += neigh.T @ d_pre_l
+            layer_grad["bias"] += d_pre_l.sum(axis=0)
             # adjacency is symmetric, so A^T collapses to A here
-            d_neigh = (d_pre_l @ layer["w_neigh"].T).reshape(n_samples, n_nodes, d)
-            dz = d_pre_l @ layer["w_self"].T + (graph.adjacency @ d_neigh).reshape(-1, d)
-    return loss, grad
+            d_neigh = d_pre_l @ layer["w_neigh"].T
+            dz = d_pre_l @ layer["w_self"].T + per_graph(
+                blocks, d_neigh, lambda graph, rows: graph.adjacency @ rows, d)
 
 
 def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
     """Mean loss and mean d(loss)/d(params.flat) over (graph, features,
-    labels) triples: one pass per stack from `graph_stacks`, combined in
-    that fixed order, so results are deterministic. For one triple the
-    loss is the forward computation `model_forward` runs, bit for bit."""
+    labels) triples: one forward and one backward pass per pass from
+    `graph_passes`, taken in that fixed order, so results are
+    deterministic. For one triple the loss is the forward computation
+    `model_forward` runs, bit for bit."""
     items = list(items)
     if not items:
         raise ValueError("batch must contain at least one sample")
-    loss, grad = 0.0, np.zeros(params.layout.size)
-    for graph, idx in graph_stacks(graph for graph, _, _ in items):
-        x = np.array([items[i][1] for i in idx], dtype=float)
-        labels = np.array([items[i][2] for i in idx], dtype=float)
-        stack_loss, stack_grad = _stack_backward(graph, x, labels, params,
-                                                 len(idx) / len(items))
-        loss += stack_loss
-        grad += stack_grad
+    runs = []
+    for blocks in graph_passes(graph for graph, _, _ in items):
+        idx = [i for _, run in blocks for i in run]
+        counts = [(graph, len(run)) for graph, run in blocks]
+        x = np.concatenate([items[i][1] for i in idx], dtype=float)
+        logits, *saved = pass_forward(counts, x, params)
+        runs.append((counts, idx, logits, saved))
+
+    logits = runs[0][2] if len(runs) == 1 else np.concatenate([run[2] for run in runs])
+    order = [i for _, idx, _, _ in runs for i in idx]
+    labels = np.array([items[i][2] for i in order], dtype=float)
+    loss = bce_loss(logits, labels)
+    d_logits = bce_grad_logits(logits, labels)
+
+    grad = np.zeros(params.layout.size)
+    start = 0
+    for counts, idx, _, saved in runs:
+        _pass_backward(counts, saved, d_logits[start:start + len(idx)], params, grad)
+        start += len(idx)
     return loss, grad
 
 

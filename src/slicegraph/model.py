@@ -4,8 +4,10 @@ Two interchangeable graph modules over the same skeleton: a Chebyshev
 spectral filter stack and a weighted-neighbour-sum ("graphconv")
 baseline. Either way: three conv layers with ReLU, sum pooling over
 nodes, then a two-layer MLP head producing one logit per label. The
-forward pass takes a (B, n_nodes, d) stack of samples sharing one graph
-(`graph_stacks` forms them); a single sample is B = 1.
+forward pass takes the (R, d) node rows of a pass of samples, each
+graph's samples contiguous (`graph_passes` forms them): every weight
+product runs once over all R rows and only the graph operator runs per
+graph. A single sample is a pass of one.
 
 All parameters live in one contiguous f64 vector whose tensor order and
 shapes come from `ParamLayout`; `ModelParams` holds that vector, read-only,
@@ -40,8 +42,8 @@ __all__ = [
     "relu",
     "sigmoid",
     "aggregate_sum",
-    "graph_stacks",
-    "stack_forward",
+    "graph_passes",
+    "pass_forward",
     "model_forward",
     "bce_loss",
 ]
@@ -49,8 +51,10 @@ __all__ = [
 DEFAULT_N_LAYERS = 3
 DEFAULT_CHEB_K = 3
 
-# Most samples one stacked pass takes; bounds the memory its intermediates hold.
-STACK_SIZE = 64
+# Most node rows one pass takes; bounds the memory its intermediates hold.
+# A mixed-volume step (4 samples of at most 128 nodes) is always one pass;
+# larger passes measured slower in predict (see CHANGES.md).
+PASS_ROWS = 512
 
 _INIT_STREAM = 0  # rng stream tag for parameter init
 
@@ -164,17 +168,24 @@ class ModelParams:
         return self.layout.cheb_k
 
 
-@dataclass(frozen=True)
 class SampleGraph:
-    """Both operator forms for one sample's graph."""
+    """One sample's graph: its adjacency, which graphconv applies, and the
+    scaled Laplacian, which cheb applies. Unless given, the Laplacian is
+    built from the adjacency on first use, so graphconv never pays for it."""
 
-    adjacency: np.ndarray
-    lhat: ScaledLaplacian
+    def __init__(self, adjacency: np.ndarray, lhat: ScaledLaplacian | None = None) -> None:
+        self.adjacency = adjacency
+        self.n_nodes = adjacency.shape[0]
+        if lhat is not None:
+            self.lhat = lhat
+
+    @cached_property
+    def lhat(self) -> ScaledLaplacian:
+        return scaled_laplacian_from_adjacency(self.adjacency)
 
 
 def prepare_graph(spec: GraphSpec) -> SampleGraph:
-    adjacency = build_adjacency(spec)
-    return SampleGraph(adjacency, scaled_laplacian_from_adjacency(adjacency))
+    return SampleGraph(build_adjacency(spec))
 
 
 class GraphOperatorCache:
@@ -245,50 +256,92 @@ def aggregate_sum(z: np.ndarray) -> np.ndarray:
     return z.sum(axis=-2)
 
 
-def graph_stacks(graphs) -> list[tuple[SampleGraph, list[int]]]:
-    """Positions of `graphs` grouped by graph object in order of first
-    appearance, each group cut into runs of at most STACK_SIZE."""
+def graph_passes(graphs) -> list[list[tuple[SampleGraph, list[int]]]]:
+    """Positions of `graphs`, grouped by graph object in order of first
+    appearance and packed into passes of at most PASS_ROWS node rows. A
+    pass is a list of (graph, positions) blocks. A graph's samples share
+    one pass unless they exceed PASS_ROWS; then they fill passes in turn,
+    straddling pass boundaries. A sample larger than PASS_ROWS runs alone."""
     groups: dict[int, tuple[SampleGraph, list[int]]] = {}
     for i, graph in enumerate(graphs):
         groups.setdefault(id(graph), (graph, []))[1].append(i)
-    return [(graph, idx[start:start + STACK_SIZE])
-            for graph, idx in groups.values()
-            for start in range(0, len(idx), STACK_SIZE)]
+    passes: list[list[tuple[SampleGraph, list[int]]]] = [[]]
+    rows = 0
+    for graph, idx in groups.values():
+        n = graph.n_nodes
+        take = max(1, PASS_ROWS // n)
+        while idx:
+            # samples that do not fit in what is left start a new pass
+            if rows and rows + len(idx) * n > PASS_ROWS:
+                passes.append([])
+                rows = 0
+            run, idx = idx[:take], idx[take:]
+            passes[-1].append((graph, run))
+            rows += len(run) * n
+    return passes
 
 
-def stack_forward(graph: SampleGraph, x: np.ndarray, params: ModelParams):
-    """Run the model on a (B, n_nodes, d) stack of samples sharing `graph`.
+def _block_rows(blocks, z: np.ndarray):
+    """Each block's graph and its rows of the (R, ...) matrix `z`, seen as
+    (b, n_nodes, ...)."""
+    start = 0
+    for graph, b in blocks:
+        stop = start + b * graph.n_nodes
+        yield graph, z[start:stop].reshape(b, graph.n_nodes, *z.shape[1:])
+        start = stop
 
-    Returns (B, n_labels) logits and what backward reuses: per conv layer
-    the (B·n_nodes, ...) inputs of its matmuls and its pre-activation,
-    and the head's (pooled, pre, act).
+
+def per_graph(blocks, z: np.ndarray, op, width: int) -> np.ndarray:
+    """`op(graph, rows)` on each block's (b, n_nodes, d) rows of the (R, d)
+    matrix `z`; each result fills the same rows of an (R, width) matrix."""
+    if len(blocks) == 1:
+        ((graph, b),) = blocks
+        return op(graph, z.reshape(b, graph.n_nodes, -1)).reshape(-1, width)
+    out = np.empty((z.shape[0], width))
+    for (graph, rows), (_, target) in zip(_block_rows(blocks, z), _block_rows(blocks, out)):
+        part = op(graph, rows)
+        target.reshape(part.shape)[...] = part
+    return out
+
+
+def pass_forward(blocks, x: np.ndarray, params: ModelParams):
+    """Run the model on the (R, d) node rows `x` of a pass. `blocks` lists
+    (graph, b) in row order: b samples of that graph, each n_nodes rows.
+
+    Returns (S, n_labels) logits, one row per sample in row order, and
+    what backward reuses: per conv layer the (R, ...) inputs of its
+    matmuls and its pre-activation, and the head's (pooled, pre, act).
     """
     z = np.asarray(x, dtype=float)
     d = params.d
-    if z.ndim != 3 or z.shape[2] != d:
-        raise ValueError(f"features must be (B, n_nodes, {d}), got shape {z.shape}")
-    n_samples, n_nodes, _ = z.shape
+    n_rows = sum(b * graph.n_nodes for graph, b in blocks)
+    if z.shape != (n_rows, d):
+        raise ValueError(f"features must be ({n_rows}, {d}) node rows, got shape {z.shape}")
     cheb = params.variant is Variant.CHEB
     layers = []
     for layer in params.layers:
         if cheb:
             # ReLU(feedforward(Chebyshev filter(z))); the filter is one
-            # (B·n, K·d) @ (K·d, d) matmul over the side-by-side basis
+            # (R, K·d) @ (K·d, d) matmul over the side-by-side basis
             thetas = layer["thetas"]
-            basis = cheb_basis(graph.lhat, z, thetas.shape[0]).transpose(1, 2, 0, 3)
-            basis = basis.reshape(-1, thetas.shape[0] * d)
+            order = thetas.shape[0]
+            basis = per_graph(blocks, z, lambda graph, rows: cheb_basis(
+                graph.lhat, rows, order).transpose(1, 2, 0, 3), order * d)
             filtered = basis @ thetas.reshape(-1, d)
             pre = filtered @ layer["ff_weight"] + layer["ff_bias"]
             layers.append((basis, filtered, pre))
         else:
             # ReLU(z W_self + (A z) W_neigh + bias): weighted neighbour sum
-            z_in = z.reshape(-1, d)
-            neigh = (graph.adjacency @ z).reshape(-1, d)
-            pre = z_in @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
-            layers.append((z_in, neigh, pre))
-        z = relu(pre).reshape(n_samples, n_nodes, d)
+            neigh = per_graph(blocks, z, lambda graph, rows: graph.adjacency @ rows, d)
+            pre = z @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
+            layers.append((z, neigh, pre))
+        z = relu(pre)
 
-    pooled = aggregate_sum(z)
+    # sum pooling: each sample's node rows summed into its pooled row
+    if len(blocks) == 1:
+        pooled = aggregate_sum(z.reshape(blocks[0][1], -1, d))
+    else:
+        pooled = np.concatenate([aggregate_sum(rows) for _, rows in _block_rows(blocks, z)])
     head = params.head
     head_pre = pooled @ head["w1"] + head["b1"]
     head_act = relu(head_pre)
@@ -297,8 +350,8 @@ def stack_forward(graph: SampleGraph, x: np.ndarray, params: ModelParams):
 
 
 def model_forward(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Logits (one per label) for one (n_nodes, d) sample: a stack of one."""
-    return stack_forward(graph, np.asarray(h)[None], params)[0][0]
+    """Logits (one per label) for one (n_nodes, d) sample: a pass of one."""
+    return pass_forward([(graph, 1)], h, params)[0][0]
 
 
 def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:

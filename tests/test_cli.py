@@ -14,7 +14,9 @@ import pytest
 
 import slicegraph
 import slicegraph.cli
+import slicegraph.data
 import slicegraph.model
+import slicegraph.spectral
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
@@ -78,6 +80,20 @@ def prepared_graphs(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(slicegraph.model, "prepare_graph", counting)
+    return calls
+
+
+@pytest.fixture()
+def lambda_max_calls(monkeypatch):
+    """How often `spectral.lambda_max` runs: once per scaled Laplacian built."""
+    calls = []
+    original = slicegraph.spectral.lambda_max
+
+    def counting(lap):
+        calls.append(lap.shape[0])
+        return original(lap)
+
+    monkeypatch.setattr(slicegraph.spectral, "lambda_max", counting)
     return calls
 
 
@@ -174,6 +190,29 @@ class TestTrain:
         assert not list(out.glob("*.ctgc"))
 
 
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_volume_under_two_nodes_is_io_error_before_training(
+            self, tmp_path, tiny_config, n_nodes):
+        data, out = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        header = struct.pack("<4sIIIId", b"CTGF", 1, n_nodes, TINY["d"], TINY["n_labels"], 1.5)
+        (data / "val" / "00002.ctgf").write_bytes(
+            header + b"\x00" * (TINY["n_labels"] + 4 * n_nodes * TINY["d"]))
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--out", out) == 4
+        assert not (out / "train_log.ndjson").exists()
+        assert not list(out.glob("*.ctgc"))
+
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_builds_a_laplacian_only_for_cheb(self, tmp_path, tiny_config, variant,
+                                              lambda_max_calls):
+        data = tmp_path / "data"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--variant", variant, "--out", tmp_path / "run") == 0
+        distinct = {key for keys in MIXED_KEYS.values() for key in keys}
+        assert len(lambda_max_calls) == (len(distinct) if variant == "cheb" else 0)
+
     def test_prepares_each_graph_once(self, tmp_path, tiny_config, prepared_graphs):
         data = tmp_path / "data"
         write_mixed_volumes(data)
@@ -184,16 +223,9 @@ class TestTrain:
 
 
 class TestBlasThreadCount:
-    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
-    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path, variant):
-        # stacks of 32 desk-sized samples make matmuls large enough for
-        # OpenBLAS to split them across threads
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            **TINY, "n_nodes": 20, "d": 16, "n_train": 64, "n_val": 8, "n_test": 8,
-            "total_steps": 6, "warmup_steps": 2, "batch_size": 32, "log_every": 2}))
-        data = tmp_path / "data"
-        assert run_cli("gen-data", "--config", config, "--out", data) == 0
+    BATCH = {"total_steps": 6, "warmup_steps": 2, "batch_size": 32, "log_every": 2}
+
+    def training_bytes(self, tmp_path, config, data, variant):
         runs = {}
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -203,6 +235,35 @@ class TestBlasThreadCount:
                            capture_output=True, timeout=300)
             runs[threads] = [(out / name).read_bytes()
                              for name in ("checkpoint.ctgc", "train_log.ndjson")]
+        return runs
+
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_training_bytes_do_not_depend_on_blas_threads(self, tmp_path, variant):
+        # passes of 32 desk-sized samples make matmuls large enough for
+        # OpenBLAS to split them across threads
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            **TINY, **self.BATCH, "n_nodes": 20, "d": 16, "n_train": 64, "n_val": 8,
+            "n_test": 8}))
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--config", config, "--out", data) == 0
+        runs = self.training_bytes(tmp_path, config, data, variant)
+        assert runs["1"] == runs["2"]
+
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_mixed_volume_bytes_do_not_depend_on_blas_threads(self, tmp_path, variant):
+        # one pass spans the graphs of every length and spacing in a step
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, **self.BATCH, "d": 16}))
+        rng = np.random.default_rng(8)
+        data = tmp_path / "data"
+        for split, count in (("train", 64), ("val", 8), ("test", 8)):
+            write_dataset(data / split, [
+                Sample(rng.normal(size=(int(rng.integers(16, 49)), 16)).astype(np.float32),
+                       rng.integers(0, 2, size=TINY["n_labels"]).astype(np.uint8),
+                       float(rng.choice([0.625, 1.25, 2.5, 5.0])))
+                for _ in range(count)])
+        runs = self.training_bytes(tmp_path, config, data, variant)
         assert runs["1"] == runs["2"]
 
 
@@ -230,12 +291,36 @@ class TestEval:
         scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
         assert len(prepared_graphs) == len(set(prepared_graphs)) == len(scored)
 
-    def test_reads_train_split_only_for_q_full(self, tmp_path, tiny_config):
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_builds_a_laplacian_only_for_cheb(self, tmp_path, tiny_config, variant,
+                                              lambda_max_calls):
+        data, run = tmp_path / "data", tmp_path / "run"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--variant", variant, "--out", run) == 0
+        lambda_max_calls.clear()
+        assert run_cli("eval", "--config", tiny_config, "--data", data,
+                       "--checkpoint", run / "checkpoint.ctgc") == 0
+        scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
+        assert len(lambda_max_calls) == (len(scored) if variant == "cheb" else 0)
+
+    def test_reads_train_split_only_for_q_full(self, tmp_path, tiny_config, monkeypatch):
         data, run = tmp_path / "data", tmp_path / "run"
         run_cli("gen-data", "--config", tiny_config, "--out", data)
         run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
         argv = ("eval", "--config", tiny_config, "--data", data,
                 "--checkpoint", run / "checkpoint.ctgc")
+        # q=full takes the largest n_nodes from the train/ headers alone,
+        # and scores as the q it resolves to does
+        read = []
+        original = slicegraph.data.read_features
+        monkeypatch.setattr(slicegraph.data, "read_features",
+                            lambda path: read.append(Path(path).parent.name) or original(path))
+        assert run_cli(*argv, "--q", "full", "--out", tmp_path / "q-full") == 0
+        assert set(read) == {"val", "test"}
+        assert run_cli(*argv, "--q", TINY["n_nodes"] - 1, "--out", tmp_path / "q-5") == 0
+        assert (tmp_path / "q-full" / "metrics.json").read_bytes() == \
+            (tmp_path / "q-5" / "metrics.json").read_bytes()
         assert run_cli(*argv, "--q", 4, "--out", tmp_path / "with-train") == 0
         shutil.rmtree(data / "train")
         assert run_cli(*argv, "--q", 4, "--out", tmp_path / "without-train") == 0

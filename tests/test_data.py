@@ -19,6 +19,7 @@ from slicegraph.data import (
     label_subspace,
     read_dataset,
     read_features,
+    read_headers,
     write_dataset,
     write_features,
 )
@@ -62,6 +63,12 @@ class TestSample:
     def test_rejects_fractional_negative_and_wide_labels(self, labels):
         with pytest.raises(ValueError, match="binary"):
             Sample(np.zeros((3, 2), dtype=np.float32), np.array(labels), 1.5)
+
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_rejects_volume_under_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            Sample(np.zeros((n_nodes, 2), dtype=np.float32),
+                   np.array([1, 0], dtype=np.uint8), 1.5)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
@@ -354,6 +361,15 @@ class TestFeatureFile:
             read_features(path)
 
 
+    @pytest.mark.parametrize("n_nodes", [0, 1])
+    def test_volume_under_two_nodes_is_a_format_error(self, tmp_path, n_nodes):
+        path = tmp_path / "s.ctgf"
+        header = struct.pack("<4sIIIId", FEATURE_MAGIC, 1, n_nodes, 2, 2, 1.5)
+        path.write_bytes(header + b"\x01\x00" + b"\x00" * (4 * 2 * n_nodes))
+        with pytest.raises(BinaryFormatError, match="at least 2 nodes"):
+            read_features(path)
+
+
 class TestDatasetDirectory:
     def test_write_read_preserves_order_and_content(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -378,3 +394,29 @@ class TestDatasetDirectory:
         write_dataset(tmp_path / "split", samples)
         with pytest.raises(BinaryFormatError, match="00002.ctgf"):
             read_dataset(tmp_path / "split")
+
+    def test_headers_match_the_files(self, tmp_path):
+        rng = np.random.default_rng(12)
+        samples = [random_sample(rng, n=n) for n in (4, 9, 6)]
+        write_dataset(tmp_path / "split", samples)
+        assert read_headers(tmp_path / "split") == [(4, 5, 3), (9, 5, 3), (6, 5, 3)]
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda raw: raw[:-1], TruncatedPayloadError),
+        (lambda raw: raw + b"\x00", TruncatedPayloadError),
+        (lambda raw: b"XXXX" + raw[4:], BadMagicError),
+        (lambda raw: raw[:4] + b"\x63" + raw[5:], VersionMismatchError),
+        (lambda raw: raw[:20], TruncatedPayloadError),
+    ], ids=["short", "long", "magic", "version", "header_only"])
+    def test_headers_check_magic_version_and_size(self, tmp_path, edit, error):
+        rng = np.random.default_rng(13)
+        write_dataset(tmp_path / "split", [random_sample(rng) for _ in range(3)])
+        path = tmp_path / "split" / "00001.ctgf"
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error):
+            read_headers(tmp_path / "split")
+
+    def test_headers_of_empty_directory_rejected(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(FileNotFoundError):
+            read_headers(tmp_path / "empty")

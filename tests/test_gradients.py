@@ -18,15 +18,16 @@ from slicegraph.gradients import (
     run_gradcheck,
 )
 from slicegraph.graph import GraphSpec, WeightFn
+import slicegraph.model
 from slicegraph.model import (
     ModelParams,
     Variant,
-    STACK_SIZE,
     bce_loss,
+    graph_passes,
     init_params,
     model_forward,
+    pass_forward,
     prepare_graph,
-    stack_forward,
 )
 
 
@@ -43,15 +44,24 @@ def toy_problem(variant, seed, n=6, d=4, n_labels=3, q=2):
     return graph, h, labels, params
 
 
-def mixed_batch(variant, seed=11):
-    """A shuffled batch over three graphs; the largest group spans two stacks."""
+def mixed_batch(variant, seed=5):
+    """A shuffled batch over three graphs that differ in n_nodes and
+    spacing; the first graph's samples alone fill more than one pass.
+    At seed 5 every pre-activation of either variant sits at least 5e-4
+    from a ReLU hinge, where central differences are ill-defined."""
     rng = np.random.default_rng(seed)
-    graphs = [toy_graph(5, 2), toy_graph(6, 3, WeightFn.EXP_DECAY),
-              toy_graph(5, 2, spacing_z=0.03)]
-    which = rng.permutation([0] * (STACK_SIZE + 6) + [1] * 5 + [2] * 4)
-    items = [(graphs[g], rng.normal(size=(graphs[g].adjacency.shape[0], 4)),
+    graphs = [toy_graph(5, 2), toy_graph(6, 3, WeightFn.EXP_DECAY, spacing_z=0.02),
+              toy_graph(7, 2, spacing_z=0.03)]
+    which = rng.permutation([0] * (slicegraph.model.PASS_ROWS // 5 + 3) + [1] * 5 + [2] * 4)
+    items = [(graphs[g], rng.normal(size=(graphs[g].n_nodes, 4)),
               rng.integers(0, 2, size=2)) for g in which]
     return items, init_params(4, 2, variant, seed=seed)
+
+
+@pytest.fixture()
+def small_passes(monkeypatch):
+    """Passes of at most 64 node rows, so a batch of toy graphs spans several."""
+    monkeypatch.setattr(slicegraph.model, "PASS_ROWS", 64)
 
 
 class TestBceGradLogits:
@@ -144,8 +154,19 @@ class TestBatchBackward:
         assert loss_batch == pytest.approx((loss1 + loss2) / 2.0, rel=1e-15)
         np.testing.assert_allclose(grads_batch, (grads1 + grads2) / 2.0, rtol=0, atol=1e-15)
 
+    def test_mixed_batch_straddles_passes(self, small_passes):
+        items, _ = mixed_batch(Variant.CHEB)
+        passes = graph_passes(graph for graph, _, _ in items)
+        assert len(passes) > 1
+        assert any(len(blocks) > 1 for blocks in passes)
+        # one graph's samples end one pass and begin the next
+        assert any(before[-1][0] is after[0][0]
+                   for before, after in zip(passes, passes[1:]))
+        for blocks in passes:
+            assert sum(len(run) * graph.n_nodes for graph, run in blocks) <= 64
+
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
-    def test_mixed_graphs_match_mean_of_single_samples(self, variant):
+    def test_mixed_graphs_match_mean_of_single_samples(self, variant, small_passes):
         items, params = mixed_batch(variant)
         loss, grad = backward(items, params)
         singles = [backward([item], params) for item in items]
@@ -154,7 +175,7 @@ class TestBatchBackward:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
-    def test_mixed_graphs_match_finite_differences(self, variant):
+    def test_mixed_graphs_match_finite_differences(self, variant, small_passes):
         items, params = mixed_batch(variant)
 
         def mean_loss(flat):
@@ -162,6 +183,7 @@ class TestBatchBackward:
             return float(np.mean([bce_loss(model_forward(graph, h, candidate), labels)
                                   for graph, h, labels in items]))
 
+        assert min(_kink_distance(graph, h, params) for graph, h, _ in items) >= 5e-4
         _, analytic = backward(items, params)
         numeric = central_difference_grads(mean_loss, params.flat, epsilon=1e-5)
         assert np.abs(analytic).max() > 0.0
@@ -259,7 +281,7 @@ class TestGradcheckHarness:
         for layer in layers:
             layer["ff_bias"] -= 100.0
         dead = ModelParams(params.layout, flat)
-        _, _, (pooled, head_pre, _) = stack_forward(graph, h[None], dead)
+        _, _, (pooled, head_pre, _) = pass_forward([(graph, 1)], h, dead)
         assert np.all(pooled == 0.0)
         assert head_pre[0, 0] == 0.0
         assert _kink_distance(graph, h, dead) == 0.0

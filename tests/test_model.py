@@ -24,7 +24,7 @@ from slicegraph.graph import GraphConfig, GraphSpec, WeightFn, build_adjacency
 from slicegraph.data import Sample
 from slicegraph.experiments import predict
 from slicegraph.model import (
-    STACK_SIZE,
+    PASS_ROWS,
     GraphOperatorCache,
     ModelParams,
     ParamLayout,
@@ -34,9 +34,9 @@ from slicegraph.model import (
     init_params,
     model_forward,
     prepare_graph,
+    pass_forward,
     relu,
     sigmoid,
-    stack_forward,
 )
 
 
@@ -56,8 +56,8 @@ def one_layer(variant, d, cheb_k=1, **tensors):
 
 
 def layer_output(graph, x, params):
-    """The first conv layer's output, ReLU(pre-activation), via stack_forward."""
-    _, layers, _ = stack_forward(graph, np.asarray(x)[None], params)
+    """The first conv layer's output, ReLU(pre-activation), via pass_forward."""
+    _, layers, _ = pass_forward([(graph, 1)], x, params)
     return relu(layers[0][-1])
 
 
@@ -254,7 +254,6 @@ class TestModelForward:
         graph = prepare_graph(spec)
         params = init_params(6, 4, variant, seed=1)
         h = rng.normal(size=(9, 6))
-        base = model_forward(graph, h, params)
         adj = graph.adjacency
         for _ in range(50):
             perm = rng.permutation(9)
@@ -265,22 +264,46 @@ class TestModelForward:
                     values=graph.lhat.values[np.ix_(perm, perm)],
                     lambda_max_used=graph.lhat.lambda_max_used),
             )
-            out = model_forward(graph_p, h[perm], params)
+            # the graph and its relabelling side by side in one pass
+            (base, out), _, _ = pass_forward([(graph, 1), (graph_p, 1)],
+                                             np.concatenate([h, h[perm]]), params)
             np.testing.assert_allclose(out, base, rtol=0, atol=1e-9)
 
-    def test_stack_forward_logits_match_model_forward(self):
+    def test_pass_forward_logits_match_model_forward(self):
         rng = np.random.default_rng(6)
         graph = random_graph(rng)
         params = init_params(5, 3, Variant.CHEB, seed=9)
         h = rng.normal(size=(graph.adjacency.shape[0], 5))
-        logits, _, _ = stack_forward(graph, h[None], params)
+        logits, _, _ = pass_forward([(graph, 1)], h, params)
         np.testing.assert_array_equal(logits[0], model_forward(graph, h, params))
+
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_pass_over_graphs_of_every_size_matches_single_samples(self, variant):
+        # blocks of different n_nodes and spacing in one pass, as a
+        # mixed-volume step runs them
+        rng = np.random.default_rng(13)
+        graphs = [prepare_graph(spec_of(n, 3, WeightFn.INVERSE_DM, spacing))
+                  for n, spacing in ((5, 0.01), (9, 0.025), (7, 0.05))]
+        params = init_params(4, 3, variant, seed=4)
+        blocks = list(zip(graphs, (3, 1, 2)))
+        pairs = [(graph, rng.normal(size=(graph.n_nodes, 4)))
+                 for graph, b in blocks for _ in range(b)]
+        logits, _, _ = pass_forward(blocks, np.concatenate([h for _, h in pairs]), params)
+        want = np.stack([model_forward(graph, h, params) for graph, h in pairs])
+        np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+
+    def test_rejects_rows_unlike_the_blocks(self):
+        graph = prepare_graph(spec_of(4, 2))
+        params = init_params(3, 2, Variant.CHEB, seed=0)
+        with pytest.raises(ValueError):
+            pass_forward([(graph, 2)], np.zeros((4, 3)), params)
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_predict_matches_single_sample_forward_in_input_order(self, variant):
         rng = np.random.default_rng(12)
         graph_cfg = GraphConfig(q=2, weight_fn=WeightFn.INVERSE_DM)
-        shapes = [(5, 1.5)] * (STACK_SIZE + 6) + [(6, 1.5)] * 5 + [(5, 3.0)] * 5
+        # the first graph alone fills more than one pass
+        shapes = [(5, 1.5)] * (PASS_ROWS // 5 + 6) + [(6, 1.5)] * 5 + [(5, 3.0)] * 5
         samples = [Sample(rng.normal(size=(n, 4)).astype(np.float32),
                           rng.integers(0, 2, size=2).astype(np.uint8), spacing)
                    for n, spacing in (shapes[i] for i in rng.permutation(len(shapes)))]
