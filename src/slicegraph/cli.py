@@ -35,27 +35,35 @@ from .experiments import (
     desk_task_config,
     desk_train_config,
     format_ablation_text,
-    predict,
     resolve_q,
     run_ablation,
     run_robustness_experiment,
+    score,
 )
 from .gradients import run_gradcheck
 from .graph import GraphConfig, GraphSpec, WeightFn, build_adjacency, build_edge_set, degree_vector
-from .metrics import evaluate, select_thresholds
 from .model import GraphOperatorCache, Variant
 from .spectral import lambda_max, laplacian, scale_laplacian
 from .train import TrainConfig, train
 
-_TASK_KEYS = {
-    "n_nodes", "d", "n_labels", "n_train", "n_val", "n_test",
-    "local_labels", "diffuse_labels", "label_rate", "signal_scale",
-    "noise_std", "spacing_z_mm",
-}
-_TRAIN_KEYS = {
-    "batch_size", "max_lr", "warmup_steps", "total_steps",
-    "weight_decay", "beta1", "beta2", "log_every",
-}
+
+def _config_dict(cfg, skip=()) -> dict:
+    """A config dataclass as config-file keys, in field order: tuples become
+    lists, and TrainConfig's betas become beta1 and beta2."""
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "betas":
+            out["beta1"], out["beta2"] = value
+        elif f.name not in skip:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+# one seed drives task and training; adam_eps is fixed, not a setting
+_TRAIN_SKIP = ("seed", "adam_eps")
+_TASK_KEYS = {f.name for f in fields(SynthTaskConfig)} - {"seed"}
+_TRAIN_KEYS = set(_config_dict(TrainConfig(), _TRAIN_SKIP))
 _OTHER_KEYS = {
     "seed", "q", "weight_fn", "variant", "shifts", "shift_mode",
     "variants", "qs", "weight_fns", "n_seeds", "micro",
@@ -159,34 +167,14 @@ def _parse_q(value):
         raise ConfigError(f"q must be a positive integer or 'full', got {value!r}")
 
 
-def _task_as_dict(task: SynthTaskConfig) -> dict:
-    out = {}
-    for f in fields(task):
-        value = getattr(task, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _resolved_config(settings: Settings) -> dict:
-    out = _task_as_dict(settings.task)
-    out.update({
-        "batch_size": settings.train.batch_size,
-        "max_lr": settings.train.max_lr,
-        "warmup_steps": settings.train.warmup_steps,
-        "total_steps": settings.train.total_steps,
-        "weight_decay": settings.train.weight_decay,
-        "beta1": settings.train.betas[0],
-        "beta2": settings.train.betas[1],
-        "log_every": settings.train.log_every,
-        "q": settings.graph.q,
-        "weight_fn": settings.graph.weight_fn.value,
-        "variant": settings.variant.value,
-    })
-    return out
+    return {**_config_dict(settings.task), **_config_dict(settings.train, _TRAIN_SKIP),
+            "q": settings.graph.q, "weight_fn": settings.graph.weight_fn.value,
+            "variant": settings.variant.value}
 
 
 def _require_out(args) -> Path:
@@ -235,7 +223,7 @@ def cmd_gen_data(args) -> int:
     train_set, val_set, test_set = generate_task(settings.task)
     for name, samples in (("train", train_set), ("val", val_set), ("test", test_set)):
         write_dataset(out / name, samples)
-    _write_json(out / "config.json", _task_as_dict(settings.task))
+    _write_json(out / "config.json", _config_dict(settings.task))
     print(json.dumps({"out": str(out), "n_train": len(train_set),
                       "n_val": len(val_set), "n_test": len(test_set)}))
     return 0
@@ -252,9 +240,8 @@ def cmd_train(args) -> int:
 
     result = train(train_set, val_set, settings.graph, settings.variant,
                    settings.train, out_dir=out)
-    thresholds = select_thresholds(predict(result.params, result.graphs, val_set))
-    report = evaluate(predict(result.params, result.graphs, test_set),
-                      thresholds, include_micro=settings.micro)
+    thresholds, report = score(result.params, result.graphs, val_set, test_set,
+                               include_micro=settings.micro)
 
     _write_json(out / "config.json", _resolved_config(settings))
     payload = report.to_dict()
@@ -277,10 +264,8 @@ def cmd_eval(args) -> int:
     else:
         val_set, test_set = (generate_split(settings.task, name) for name in ("val", "test"))
 
-    graphs = GraphOperatorCache(settings.graph)
-    thresholds = select_thresholds(predict(params, graphs, val_set))
-    report = evaluate(predict(params, graphs, test_set),
-                      thresholds, include_micro=settings.micro)
+    thresholds, report = score(params, GraphOperatorCache(settings.graph), val_set, test_set,
+                               include_micro=settings.micro)
     payload = report.to_dict()
     payload["thresholds"] = [float(t) for t in thresholds]
     payload["checkpoint"] = str(args.checkpoint)

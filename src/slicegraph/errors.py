@@ -26,7 +26,7 @@ class NumericError(RuntimeError):
         super().__init__(detail)
 
 
-class DegenerateSpectrumError(ValueError):
+class DegenerateSpectrumError(NumericError):
     """Laplacian spectrum collapsed to zero; the graph has no usable edges."""
 
 

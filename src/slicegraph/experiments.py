@@ -25,6 +25,7 @@ __all__ = [
     "desk_task_config",
     "desk_train_config",
     "predict",
+    "score",
     "train_and_evaluate",
     "robustness_sweep",
     "run_robustness_experiment",
@@ -78,6 +79,17 @@ def predict(params: ModelParams, graphs: GraphOperatorCache,
     return PredictionSet(scores, labels)
 
 
+def score(params: ModelParams, graphs: GraphOperatorCache, val_set: list[Sample],
+          test_set: list[Sample], *, include_micro: bool = False
+          ) -> tuple[np.ndarray, MetricsReport]:
+    """Max-F1 thresholds picked on `val_set`, and the report on `test_set`
+    at those thresholds."""
+    thresholds = select_thresholds(predict(params, graphs, val_set))
+    report = evaluate(predict(params, graphs, test_set), thresholds,
+                      include_micro=include_micro)
+    return thresholds, report
+
+
 def train_and_evaluate(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
                        variant: Variant, train_cfg: TrainConfig, *,
                        include_micro: bool = False, out_dir=None,
@@ -85,27 +97,26 @@ def train_and_evaluate(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     """Generate the task, train, pick thresholds on val, report on test."""
     train_set, val_set, test_set = generate_task(task_cfg)
     result = train(train_set, val_set, graph_cfg, variant, train_cfg, out_dir=out_dir)
-    thresholds = select_thresholds(predict(result.params, result.graphs, val_set))
-    report = evaluate(predict(result.params, result.graphs, test_set), thresholds,
-                      include_micro=include_micro)
+    thresholds, report = score(result.params, result.graphs, val_set, test_set,
+                               include_micro=include_micro)
     return result, thresholds, report
 
 
 def robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
                      samples: list[Sample], thresholds, shifts,
-                     *, pad_feature=None, mode: str = "pad") -> list[dict]:
+                     *, mode: str = "pad") -> list[dict]:
     """F1 at each axial shift of the evaluation samples.
 
-    `mode` is "pad" (vacated rows take `pad_feature`, default the
-    all-background row) or "wrap" (rows cycle around). Thresholds are
-    fixed, typically chosen on unshifted validation data.
+    `mode` is "pad" (vacated rows take the all-background row) or "wrap"
+    (rows cycle around). Thresholds are fixed, typically chosen on
+    unshifted validation data.
     """
     if mode not in ("pad", "wrap"):
         raise ValueError(f"mode must be 'pad' or 'wrap', got {mode!r}")
     curve = []
     for shift in shifts:
         shifted = [
-            apply_z_shift(s, shift, pad_feature, wrap=(mode == "wrap"))
+            apply_z_shift(s, shift, wrap=(mode == "wrap"))
             for s in samples
         ]
         report = evaluate(predict(params, graphs, shifted), thresholds)
@@ -140,8 +151,7 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     for variant in (Variant.CHEB, Variant.GRAPHCONV):
         result = train(train_set, val_set, graphs, variant, train_cfg)
         trained[variant] = result.params
-        thresholds = select_thresholds(predict(result.params, graphs, val_set))
-        baseline = evaluate(predict(result.params, graphs, test_set), thresholds)
+        thresholds, baseline = score(result.params, graphs, val_set, test_set)
         curve = robustness_sweep(result.params, graphs, test_set, thresholds,
                                  shifts, mode=mode)
         out["variants"][variant.value] = {
@@ -246,10 +256,7 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
                     for run_idx in range(grid.n_seeds):
                         cfg_run = replace(train_cfg, seed=train_cfg.seed + run_idx)
                         result = train(train_set, val_set, graphs, variant, cfg_run)
-                        thresholds = select_thresholds(
-                            predict(result.params, graphs, val_set))
-                        report = evaluate(
-                            predict(result.params, graphs, test_set), thresholds)
+                        _, report = score(result.params, graphs, val_set, test_set)
                         runs.append({key: report.macro[key] for key in _CELL_METRICS})
                     cell["runs"] = runs
                     cell["mean"], cell["std"] = _summarise(runs)

@@ -10,7 +10,7 @@ and the cost is O(M log M) per label.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,12 +183,12 @@ def evaluate(predictions: PredictionSet, thresholds,
             f"need one threshold per label ({predictions.n_labels}), got {thresholds.shape}"
         )
 
-    per_label = []
+    per_label, counts = [], []
     for j in range(predictions.n_labels):
         scores = predictions.scores[:, j]
         labels = predictions.labels[:, j]
-        counts = binary_counts(scores, labels, thresholds[j])
-        f1, recall, precision, accuracy = f1_recall_precision_accuracy(counts)
+        counts.append(binary_counts(scores, labels, thresholds[j]))
+        f1, recall, precision, accuracy = f1_recall_precision_accuracy(counts[-1])
         per_label.append(LabelMetrics(
             label=j, threshold=float(thresholds[j]), f1=f1, recall=recall,
             precision=precision, accuracy=accuracy, auroc=auroc(scores, labels),
@@ -212,12 +212,8 @@ def evaluate(predictions: PredictionSet, thresholds,
 
     micro = None
     if include_micro:
-        pooled = np.zeros(4, dtype=np.int64)
-        for j, lm in enumerate(per_label):
-            pooled += np.asarray(binary_counts(
-                predictions.scores[:, j], predictions.labels[:, j], lm.threshold
-            ))
-        f1, recall, precision, accuracy = f1_recall_precision_accuracy(tuple(pooled))
+        pooled = tuple(sum(column) for column in zip(*counts))
+        f1, recall, precision, accuracy = f1_recall_precision_accuracy(pooled)
         micro = {
             "f1": f1, "recall": recall, "precision": precision,
             "accuracy": accuracy,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +122,6 @@ class TrainResult:
     params: ModelParams
     loss_curve: list[dict]
     graphs: GraphOperatorCache  # the operators training prepared, for scoring
-    snapshots: list[tuple[int, ModelParams]] = field(default_factory=list)
-    checkpoint_paths: list[Path] = field(default_factory=list)
 
 
 def _checkpoint_marks(total_steps: int) -> set[int]:
@@ -131,9 +129,8 @@ def _checkpoint_marks(total_steps: int) -> set[int]:
 
 
 def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant: Variant,
-          cfg: TrainConfig, *, cheb_k: int = 3, n_layers: int = 3,
-          head_hidden: int | None = None, initial_params: ModelParams | None = None,
-          out_dir=None, log_path=None) -> TrainResult:
+          cfg: TrainConfig, *, initial_params: ModelParams | None = None,
+          out_dir=None) -> TrainResult:
     """Train a model on `train_set`, freshly initialized unless
     `initial_params` is given (warm start, e.g. from a loaded checkpoint;
     optimizer moments always start at zero).
@@ -142,9 +139,9 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
     touched by the loop itself. Per-sample graphs come from `graphs` (a
     GraphConfig, or a GraphOperatorCache to fill and share) plus each
     sample's own z spacing; the cache is returned as `TrainResult.graphs`.
-    Emits a (step, lr, loss) line every `cfg.log_every` steps to
-    `log_path` (newline-delimited JSON) and snapshots parameters at every
-    quarter of the run.
+    With `out_dir`, writes a (step, lr, loss) line every `cfg.log_every`
+    steps to `train_log.ndjson` (newline-delimited JSON), a checkpoint at
+    every quarter of the run, and the final `checkpoint.ctgc`.
 
     Raises NumericError with step/lr/gradient-norm diagnostics if the
     loss stops being finite.
@@ -164,8 +161,7 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
                 f"n_labels={n_labels}")
         params = initial_params
     else:
-        params = init_params(d, n_labels, variant, n_layers=n_layers,
-                             cheb_k=cheb_k, head_hidden=head_hidden, seed=cfg.seed)
+        params = init_params(d, n_labels, variant, seed=cfg.seed)
     state = init_optim_state(params)
     if isinstance(graphs, GraphConfig):
         graphs = GraphOperatorCache(graphs)
@@ -176,17 +172,13 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if log_path is None:
-            log_path = out_dir / "train_log.ndjson"
     marks = _checkpoint_marks(cfg.total_steps)
 
     curve: list[dict] = []
-    snapshots: list[tuple[int, ModelParams]] = []
-    paths: list[Path] = []
     order = rng.permutation(len(train_set))
     cursor = 0
 
-    log_file = open(log_path, "w") if log_path is not None else None
+    log_file = open(out_dir / "train_log.ndjson", "w") if out_dir is not None else None
     try:
         for step in range(cfg.total_steps):
             if cursor + cfg.batch_size > len(order):
@@ -211,18 +203,12 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
                     log_file.write(json.dumps(entry) + "\n")
 
             done = step + 1
-            if done in marks:
-                snapshots.append((done, params))
-                if out_dir is not None:
-                    path = out_dir / f"checkpoint_step{done:07d}.ctgc"
-                    save_checkpoint(path, params)
-                    paths.append(path)
+            if done in marks and out_dir is not None:
+                save_checkpoint(out_dir / f"checkpoint_step{done:07d}.ctgc", params)
     finally:
         if log_file is not None:
             log_file.close()
 
     if out_dir is not None:
-        final_path = out_dir / "checkpoint.ctgc"
-        save_checkpoint(final_path, params)
-        paths.append(final_path)
-    return TrainResult(params, curve, graphs, snapshots, paths)
+        save_checkpoint(out_dir / "checkpoint.ctgc", params)
+    return TrainResult(params, curve, graphs)

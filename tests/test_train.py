@@ -260,11 +260,6 @@ class TestTrainLoop:
             "checkpoint_step0000030.ctgc",
             "checkpoint_step0000040.ctgc",
         ]
-        assert [p.name for p in result.checkpoint_paths] == [
-            "checkpoint_step0000010.ctgc", "checkpoint_step0000020.ctgc",
-            "checkpoint_step0000030.ctgc", "checkpoint_step0000040.ctgc",
-            "checkpoint.ctgc",
-        ]
         # final snapshot equals the returned parameters byte for byte
         assert (tmp_path / "checkpoint.ctgc").read_bytes() == \
             (tmp_path / "checkpoint_step0000040.ctgc").read_bytes()
@@ -277,10 +272,3 @@ class TestTrainLoop:
             assert entry["lr"] == lr_at(entry["step"], cfg)
             assert math.isfinite(entry["loss"])
         assert entries == result.loss_curve
-
-    def test_snapshots_at_quarter_marks(self):
-        samples = toy_samples()
-        cfg = TrainConfig(batch_size=2, max_lr=1e-3, warmup_steps=4,
-                          total_steps=40, weight_decay=0.0, seed=0, log_every=10)
-        result = train(samples, [], GRAPH, Variant.CHEB, cfg)
-        assert [step for step, _ in result.snapshots] == [10, 20, 30, 40]
