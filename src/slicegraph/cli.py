@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import (SynthTaskConfig, generate_split, generate_task, read_dataset, read_headers,
-                   write_dataset)
+from .data import SynthTaskConfig, generate_split, generate_task, read_dataset, write_dataset
 from .errors import BinaryFormatError, ConfigError, NumericError
 from .experiments import (
     DEFAULT_SHIFTS,
@@ -185,12 +184,11 @@ def _require_out(args) -> Path:
     return out
 
 
-def _load_splits(settings: Settings, data_dir, names, shape=None, source=None, sized=()):
+def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
     """The settings, then the named splits of a gen-data directory. Every
     split must have the (d, n_labels) `shape` that `source` has (default:
     the first split's), or BinaryFormatError is raised before anything
-    runs. With `q=full`, q resolves against the largest volume loaded or
-    in the `sized` splits, of which only the file headers are read."""
+    runs. With `q=full`, q resolves against the largest volume loaded."""
     base = Path(data_dir)
     splits = [read_dataset(base / name) for name in names]
     shapes = [(name, split[0].features.shape[1], split[0].labels.size)
@@ -198,11 +196,6 @@ def _load_splits(settings: Settings, data_dir, names, shape=None, source=None, s
     if shape is None:
         shape, source = shapes[0][1:], base / names[0]
     n_nodes = [s.features.shape[0] for split in splits for s in split]
-    if settings.q_full:
-        for name in sized:
-            headers = read_headers(base / name)
-            shapes += [(name, d, n_labels) for _, d, n_labels in headers]
-            n_nodes += [n for n, _, _ in headers]
     for name, d, n_labels in shapes:
         if (d, n_labels) != shape:
             raise BinaryFormatError(f"{base / name}: d={d}, n_labels={n_labels}; "
@@ -256,11 +249,9 @@ def cmd_eval(args) -> int:
     settings = build_settings(args)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "data", None):
-        # train/ holds the largest n_nodes that q=full resolves against; its
-        # headers alone give it
         settings, val_set, test_set = _load_splits(
-            settings, args.data, ("val", "test"), (params.d, params.n_labels),
-            args.checkpoint, sized=("train",))
+            settings, args.data, ("val", "test"), (params.layout.d, params.layout.n_labels),
+            args.checkpoint)
     else:
         val_set, test_set = (generate_split(settings.task, name) for name in ("val", "test"))
 

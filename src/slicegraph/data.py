@@ -27,14 +27,12 @@ __all__ = [
     "Sample",
     "SynthTaskConfig",
     "label_subspace",
-    "background_feature",
     "generate_sample",
     "generate_split",
     "generate_task",
     "apply_z_shift",
     "write_features",
     "read_features",
-    "read_headers",
     "write_dataset",
     "read_dataset",
     "FEATURE_MAGIC",
@@ -122,11 +120,6 @@ def label_subspace(cfg: SynthTaskConfig, label: int) -> slice:
     return slice(label * width, (label + 1) * width)
 
 
-def background_feature(cfg: SynthTaskConfig) -> np.ndarray:
-    """Feature row of an all-background node before noise: zeros."""
-    return np.zeros(cfg.d, dtype=np.float32)
-
-
 def _sample_rng(cfg: SynthTaskConfig, split: str, index: int) -> np.random.Generator:
     if split not in _SPLIT_TAGS:
         raise ValueError(f"split must be one of {sorted(_SPLIT_TAGS)}, got {split!r}")
@@ -172,14 +165,12 @@ def generate_task(cfg: SynthTaskConfig) -> tuple[list[Sample], list[Sample], lis
             generate_split(cfg, "test"))
 
 
-def apply_z_shift(sample: Sample, shift: int, pad_feature: np.ndarray | None = None,
-                  *, wrap: bool = False) -> Sample:
+def apply_z_shift(sample: Sample, shift: int, *, wrap: bool = False) -> Sample:
     """Translate feature rows along the node axis; labels stay put.
 
     Positive shifts move content toward higher indices. In pad mode the
-    vacated rows take `pad_feature` (default: the all-background row);
-    in wrap mode rows cycle around instead. `|shift|` must stay below
-    the node count.
+    vacated rows are zeros, the all-background row; in wrap mode rows
+    cycle around instead. `|shift|` must stay below the node count.
     """
     n, d = sample.features.shape
     if abs(shift) >= n:
@@ -188,13 +179,7 @@ def apply_z_shift(sample: Sample, shift: int, pad_feature: np.ndarray | None = N
         rolled = np.roll(sample.features, shift, axis=0)
         return Sample(np.ascontiguousarray(rolled), sample.labels, sample.spacing_z_mm)
 
-    if pad_feature is None:
-        pad = np.zeros(d, dtype=sample.features.dtype)
-    else:
-        pad = np.asarray(pad_feature, dtype=sample.features.dtype)
-        if pad.shape != (d,):
-            raise ValueError(f"pad_feature must have shape ({d},), got {pad.shape}")
-    out = np.tile(pad, (n, 1))
+    out = np.zeros((n, d), dtype=sample.features.dtype)
     if shift >= 0:
         out[shift:] = sample.features[:n - shift]
     else:
@@ -226,38 +211,32 @@ def write_features(path, sample: Sample) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def _read_header(head: bytes, size: int) -> tuple[int, int, int, float]:
-    """(n_nodes, d, n_labels, spacing_z_mm) from the first bytes `head` of
-    a feature file of `size` bytes, after checking the magic, the version
-    and that the size is the one the header implies."""
-    if len(head) < 4 or head[:4] != FEATURE_MAGIC:
+def read_features(path) -> Sample:
+    """Inverse of `write_features`; bit-exact round-trip for f32 features.
+    The magic, the version and the file size the header implies are
+    checked first. Content that `Sample` rejects (fewer than 2 nodes, a
+    label byte other than 0/1, non-finite features, spacing <= 0) raises
+    BinaryFormatError."""
+    data = Path(path).read_bytes()
+    if len(data) < 4 or data[:4] != FEATURE_MAGIC:
         raise BadMagicError(
-            f"not a feature file: expected magic {FEATURE_MAGIC!r}, got {head[:4]!r}"
+            f"not a feature file: expected magic {FEATURE_MAGIC!r}, got {data[:4]!r}"
         )
-    if len(head) < _HEADER.size:
+    if len(data) < _HEADER.size:
         raise TruncatedPayloadError(
-            f"feature file header needs {_HEADER.size} bytes, file has {len(head)}"
+            f"feature file header needs {_HEADER.size} bytes, file has {len(data)}"
         )
-    _, version, n, d, n_labels, spacing = _HEADER.unpack_from(head)
+    _, version, n, d, n_labels, spacing = _HEADER.unpack_from(data)
     if version != FEATURE_VERSION:
         raise VersionMismatchError(
             f"feature file version {version}, this build reads {FEATURE_VERSION}"
         )
-    expected = n_labels + 4 * n * d
-    if size - _HEADER.size != expected:
-        raise TruncatedPayloadError(
-            f"feature payload: expected {expected} bytes, got {size - _HEADER.size}"
-        )
-    return n, d, n_labels, spacing
-
-
-def read_features(path) -> Sample:
-    """Inverse of `write_features`; bit-exact round-trip for f32 features.
-    Content that `Sample` rejects (fewer than 2 nodes, a label byte other
-    than 0/1, non-finite features, spacing <= 0) raises BinaryFormatError."""
-    data = Path(path).read_bytes()
-    n, d, n_labels, spacing = _read_header(data, len(data))
     body = data[_HEADER.size:]
+    expected = n_labels + 4 * n * d
+    if len(body) != expected:
+        raise TruncatedPayloadError(
+            f"feature payload: expected {expected} bytes, got {len(body)}"
+        )
     labels = np.frombuffer(body[:n_labels], dtype=np.uint8).copy()
     features = np.frombuffer(body[n_labels:], dtype="<f4").reshape(n, d).copy()
     try:
@@ -274,18 +253,13 @@ def write_dataset(directory, samples) -> None:
         write_features(directory / f"{i:05d}.ctgf", sample)
 
 
-def _dataset_paths(directory) -> list[Path]:
-    paths = sorted(Path(directory).glob("*.ctgf"))
-    if not paths:
-        raise FileNotFoundError(f"no .ctgf files in {directory}")
-    return paths
-
-
 def read_dataset(directory) -> list[Sample]:
     """Every feature file in `directory`, in name order. All must share the
     first file's feature width d and label count; the first file that
     does not raises BinaryFormatError."""
-    paths = _dataset_paths(directory)
+    paths = sorted(Path(directory).glob("*.ctgf"))
+    if not paths:
+        raise FileNotFoundError(f"no .ctgf files in {directory}")
     samples = [read_features(p) for p in paths]
     d, n_labels = samples[0].features.shape[1], samples[0].labels.size
     for path, sample in zip(paths, samples):
@@ -294,14 +268,3 @@ def read_dataset(directory) -> list[Sample]:
                 f"{path}: d={sample.features.shape[1]}, n_labels={sample.labels.size}; "
                 f"{paths[0].name} has d={d}, n_labels={n_labels}")
     return samples
-
-
-def read_headers(directory) -> list[tuple[int, int, int]]:
-    """(n_nodes, d, n_labels) of every feature file in `directory`, in name
-    order, from the 28-byte headers alone, checked as `read_features`
-    checks them (magic, version, file size); no payload is read."""
-    headers = []
-    for path in _dataset_paths(directory):
-        with open(path, "rb") as f:
-            headers.append(_read_header(f.read(_HEADER.size), path.stat().st_size)[:3])
-    return headers

@@ -69,12 +69,10 @@ def predict(params: ModelParams, graphs: GraphOperatorCache,
     one forward pass per pass from `graph_passes`, whatever the samples'
     (n_nodes, spacing). The graphs come from, and are added to, `graphs`,
     so every call of one command prepares each graph once."""
-    scores = np.empty((len(samples), params.n_labels))
-    for blocks in graph_passes(graphs.for_sample(s) for s in samples):
-        idx = [i for _, run in blocks for i in run]
-        rows = np.concatenate([samples[i].features for i in idx])
-        counts = [(graph, len(run)) for graph, run in blocks]
-        scores[idx] = sigmoid(pass_forward(counts, rows, params)[0])
+    scores = np.empty((len(samples), params.layout.n_labels))
+    for positions, blocks in graph_passes(graphs.for_sample(s) for s in samples):
+        rows = np.concatenate([samples[i].features for i in positions])
+        scores[positions] = sigmoid(pass_forward(blocks, rows, params)[0])
     labels = np.stack([s.labels for s in samples])
     return PredictionSet(scores, labels)
 

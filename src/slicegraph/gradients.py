@@ -17,6 +17,7 @@ from .model import (
     ModelParams,
     SampleGraph,
     Variant,
+    _block_slices,
     bce_loss,
     graph_passes,
     init_params,
@@ -80,12 +81,11 @@ def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
     head_grad["b1"] += d_pre.sum(axis=0)
 
     # Sum pooling broadcasts each sample's pooled gradient back to its node rows.
-    node_rows = ([graph.n_nodes for graph, b in blocks for _ in range(b)] if len(blocks) > 1
-                 else blocks[0][0].n_nodes)
-    dz = np.repeat(d_pre @ head["w1"].T, node_rows, axis=0)
-    d = params.d
+    dz = np.repeat(d_pre @ head["w1"].T,
+                   [graph.n_nodes for graph, b in blocks for _ in range(b)], axis=0)
+    d = params.layout.d
 
-    cheb = params.variant is Variant.CHEB
+    cheb = params.layout.variant is Variant.CHEB
     for layer, layer_grad, (z_in, mid, pre) in zip(
             reversed(params.layers), reversed(layer_grads), reversed(layers)):
         d_pre_l = dz * (pre > 0)
@@ -102,17 +102,14 @@ def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
             # of g, in place. g[k] holds the gradient reaching T_k(lhat) Z;
             # lhat is symmetric so its transpose is itself.
             g = d_filtered @ thetas.transpose(0, 2, 1)
-            start = 0
-            for graph, b in blocks:
-                stop = start + b * graph.n_nodes
+            for graph, b, rows in _block_slices(blocks):
                 lhat_m = graph.lhat.values
-                g_graph = g[:, start:stop].reshape(order, b, graph.n_nodes, d)
+                g_graph = g[:, rows].reshape(order, b, graph.n_nodes, d)
                 for k in range(order - 1, 1, -1):
                     g_graph[k - 1] += 2.0 * (lhat_m @ g_graph[k])
                     g_graph[k - 2] -= g_graph[k]
                 if order > 1:
                     g_graph[0] += lhat_m @ g_graph[1]
-                start = stop
             dz = g[0]
         else:
             neigh = mid
@@ -134,25 +131,20 @@ def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
     items = list(items)
     if not items:
         raise ValueError("batch must contain at least one sample")
-    runs = []
-    for blocks in graph_passes(graph for graph, _, _ in items):
-        idx = [i for _, run in blocks for i in run]
-        counts = [(graph, len(run)) for graph, run in blocks]
-        x = np.concatenate([items[i][1] for i in idx], dtype=float)
-        logits, *saved = pass_forward(counts, x, params)
-        runs.append((counts, idx, logits, saved))
-
-    logits = runs[0][2] if len(runs) == 1 else np.concatenate([run[2] for run in runs])
-    order = [i for _, idx, _, _ in runs for i in idx]
-    labels = np.array([items[i][2] for i in order], dtype=float)
+    passes = graph_passes(graph for graph, _, _ in items)
+    forwards = [pass_forward(blocks, np.concatenate([items[i][1] for i in positions],
+                                                     dtype=float), params)
+                for positions, blocks in passes]
+    logits = np.concatenate([logits for logits, _, _ in forwards])
+    labels = np.array([items[i][2] for positions, _ in passes for i in positions], dtype=float)
     loss = bce_loss(logits, labels)
     d_logits = bce_grad_logits(logits, labels)
 
     grad = np.zeros(params.layout.size)
     start = 0
-    for counts, idx, _, saved in runs:
-        _pass_backward(counts, saved, d_logits[start:start + len(idx)], params, grad)
-        start += len(idx)
+    for (positions, blocks), (_, *saved) in zip(passes, forwards):
+        _pass_backward(blocks, saved, d_logits[start:start + len(positions)], params, grad)
+        start += len(positions)
     return loss, grad
 
 

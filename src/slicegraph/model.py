@@ -146,27 +146,6 @@ class ModelParams:
         self.flat = flat
         self.layers, self.head = layout.group(flat)
 
-    @property
-    def variant(self) -> Variant:
-        return self.layout.variant
-
-    @property
-    def d(self) -> int:
-        return self.layout.d
-
-    @property
-    def n_labels(self) -> int:
-        return self.layout.n_labels
-
-    @property
-    def n_layers(self) -> int:
-        return self.layout.n_layers
-
-    @property
-    def cheb_k(self) -> int:
-        """Filter order; 0 for the spatial variant."""
-        return self.layout.cheb_k
-
 
 class SampleGraph:
     """One sample's graph: its adjacency, which graphconv applies, and the
@@ -256,16 +235,18 @@ def aggregate_sum(z: np.ndarray) -> np.ndarray:
     return z.sum(axis=-2)
 
 
-def graph_passes(graphs) -> list[list[tuple[SampleGraph, list[int]]]]:
+def graph_passes(graphs) -> list[tuple[list[int], list[tuple[SampleGraph, int]]]]:
     """Positions of `graphs`, grouped by graph object in order of first
     appearance and packed into passes of at most PASS_ROWS node rows. A
-    pass is a list of (graph, positions) blocks. A graph's samples share
-    one pass unless they exceed PASS_ROWS; then they fill passes in turn,
-    straddling pass boundaries. A sample larger than PASS_ROWS runs alone."""
+    pass is (positions, blocks): the positions in row order, and blocks
+    of (graph, b), b consecutive positions of that graph. A graph's
+    samples share one pass unless they exceed PASS_ROWS; then they fill
+    passes in turn, straddling pass boundaries. A sample larger than
+    PASS_ROWS runs alone."""
     groups: dict[int, tuple[SampleGraph, list[int]]] = {}
     for i, graph in enumerate(graphs):
         groups.setdefault(id(graph), (graph, []))[1].append(i)
-    passes: list[list[tuple[SampleGraph, list[int]]]] = [[]]
+    passes: list[tuple[list[int], list[tuple[SampleGraph, int]]]] = [([], [])]
     rows = 0
     for graph, idx in groups.values():
         n = graph.n_nodes
@@ -273,34 +254,32 @@ def graph_passes(graphs) -> list[list[tuple[SampleGraph, list[int]]]]:
         while idx:
             # samples that do not fit in what is left start a new pass
             if rows and rows + len(idx) * n > PASS_ROWS:
-                passes.append([])
+                passes.append(([], []))
                 rows = 0
             run, idx = idx[:take], idx[take:]
-            passes[-1].append((graph, run))
+            positions, blocks = passes[-1]
+            positions += run
+            blocks.append((graph, len(run)))
             rows += len(run) * n
     return passes
 
 
-def _block_rows(blocks, z: np.ndarray):
-    """Each block's graph and its rows of the (R, ...) matrix `z`, seen as
-    (b, n_nodes, ...)."""
+def _block_slices(blocks):
+    """Each block's graph, sample count b and slice of the pass's rows."""
     start = 0
     for graph, b in blocks:
         stop = start + b * graph.n_nodes
-        yield graph, z[start:stop].reshape(b, graph.n_nodes, *z.shape[1:])
+        yield graph, b, slice(start, stop)
         start = stop
 
 
 def per_graph(blocks, z: np.ndarray, op, width: int) -> np.ndarray:
     """`op(graph, rows)` on each block's (b, n_nodes, d) rows of the (R, d)
     matrix `z`; each result fills the same rows of an (R, width) matrix."""
-    if len(blocks) == 1:
-        ((graph, b),) = blocks
-        return op(graph, z.reshape(b, graph.n_nodes, -1)).reshape(-1, width)
     out = np.empty((z.shape[0], width))
-    for (graph, rows), (_, target) in zip(_block_rows(blocks, z), _block_rows(blocks, out)):
-        part = op(graph, rows)
-        target.reshape(part.shape)[...] = part
+    for graph, b, rows in _block_slices(blocks):
+        part = op(graph, z[rows].reshape(b, graph.n_nodes, -1))
+        out[rows].reshape(part.shape)[...] = part
     return out
 
 
@@ -313,11 +292,11 @@ def pass_forward(blocks, x: np.ndarray, params: ModelParams):
     matmuls and its pre-activation, and the head's (pooled, pre, act).
     """
     z = np.asarray(x, dtype=float)
-    d = params.d
+    d = params.layout.d
     n_rows = sum(b * graph.n_nodes for graph, b in blocks)
     if z.shape != (n_rows, d):
         raise ValueError(f"features must be ({n_rows}, {d}) node rows, got shape {z.shape}")
-    cheb = params.variant is Variant.CHEB
+    cheb = params.layout.variant is Variant.CHEB
     layers = []
     for layer in params.layers:
         if cheb:
@@ -338,10 +317,8 @@ def pass_forward(blocks, x: np.ndarray, params: ModelParams):
         z = relu(pre)
 
     # sum pooling: each sample's node rows summed into its pooled row
-    if len(blocks) == 1:
-        pooled = aggregate_sum(z.reshape(blocks[0][1], -1, d))
-    else:
-        pooled = np.concatenate([aggregate_sum(rows) for _, rows in _block_rows(blocks, z)])
+    pooled = np.concatenate([aggregate_sum(z[rows].reshape(b, graph.n_nodes, d))
+                             for graph, b, rows in _block_slices(blocks)])
     head = params.head
     head_pre = pooled @ head["w1"] + head["b1"]
     head_act = relu(head_pre)

@@ -154,11 +154,11 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
     d = train_set[0].features.shape[1]
     n_labels = int(np.asarray(train_set[0].labels).size)
     if initial_params is not None:
-        if initial_params.d != d or initial_params.n_labels != n_labels:
+        layout = initial_params.layout
+        if layout.d != d or layout.n_labels != n_labels:
             raise ValueError(
-                f"initial_params is for d={initial_params.d}, "
-                f"n_labels={initial_params.n_labels}; data has d={d}, "
-                f"n_labels={n_labels}")
+                f"initial_params is for d={layout.d}, n_labels={layout.n_labels}; "
+                f"data has d={d}, n_labels={n_labels}")
         params = initial_params
     else:
         params = init_params(d, n_labels, variant, seed=cfg.seed)

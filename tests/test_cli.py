@@ -173,15 +173,15 @@ class TestTrain:
         out = tmp_path / "run"
         assert run_cli("train", "--config", tiny_config, "--data", data,
                        "--out", out) == 0
-        params = load_checkpoint(out / "checkpoint.ctgc")
-        assert params.d == 4
-        assert params.n_labels == 2
+        layout = load_checkpoint(out / "checkpoint.ctgc").layout
+        assert layout.d == 4
+        assert layout.n_labels == 2
 
     def test_variant_flag_selects_graphconv(self, tmp_path, tiny_config):
         out = tmp_path / "run"
         assert run_cli("train", "--config", tiny_config, "--variant",
                        "graphconv", "--out", out) == 0
-        assert load_checkpoint(out / "checkpoint.ctgc").variant is Variant.GRAPHCONV
+        assert load_checkpoint(out / "checkpoint.ctgc").layout.variant is Variant.GRAPHCONV
 
     def test_edgeless_graph_under_cheb_is_numeric_failure(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -333,30 +333,34 @@ class TestEval:
         scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
         assert len(lambda_max_calls) == (len(scored) if variant == "cheb" else 0)
 
-    def test_reads_train_split_only_for_q_full(self, tmp_path, tiny_config, monkeypatch):
-        data, run = tmp_path / "data", tmp_path / "run"
+    def test_q_full_reads_no_train_split(self, tmp_path, tiny_config, monkeypatch):
+        # train/ holds taller volumes (12 nodes) than val/ and test/ (6)
+        tall = tmp_path / "tall.json"
+        tall.write_text(json.dumps({**TINY, "n_nodes": 12}))
+        data, other, run = tmp_path / "data", tmp_path / "other", tmp_path / "run"
         run_cli("gen-data", "--config", tiny_config, "--out", data)
+        run_cli("gen-data", "--config", tall, "--out", other)
+        shutil.rmtree(data / "train")
+        shutil.move(other / "train", data / "train")
         run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
         argv = ("eval", "--config", tiny_config, "--data", data,
                 "--checkpoint", run / "checkpoint.ctgc")
-        # q=full takes the largest n_nodes from the train/ headers alone,
-        # and scores as the q it resolves to does
         read = []
         original = slicegraph.data.read_features
         monkeypatch.setattr(slicegraph.data, "read_features",
                             lambda path: read.append(Path(path).parent.name) or original(path))
         assert run_cli(*argv, "--q", "full", "--out", tmp_path / "q-full") == 0
         assert set(read) == {"val", "test"}
-        assert run_cli(*argv, "--q", TINY["n_nodes"] - 1, "--out", tmp_path / "q-5") == 0
+        # q=full resolves against the 6-node volumes eval scores; a q of at
+        # least n_nodes - 1 connects every pair of nodes, so resolving it
+        # against train's 12 nodes would score the same bytes
+        assert run_cli(*argv, "--q", 11, "--out", tmp_path / "q-11") == 0
         assert (tmp_path / "q-full" / "metrics.json").read_bytes() == \
-            (tmp_path / "q-5" / "metrics.json").read_bytes()
-        assert run_cli(*argv, "--q", 4, "--out", tmp_path / "with-train") == 0
+            (tmp_path / "q-11" / "metrics.json").read_bytes()
         shutil.rmtree(data / "train")
-        assert run_cli(*argv, "--q", 4, "--out", tmp_path / "without-train") == 0
-        assert (tmp_path / "with-train" / "metrics.json").read_bytes() == \
+        assert run_cli(*argv, "--q", "full", "--out", tmp_path / "without-train") == 0
+        assert (tmp_path / "q-full" / "metrics.json").read_bytes() == \
             (tmp_path / "without-train" / "metrics.json").read_bytes()
-        # q=full resolves against the largest n_nodes of all three splits
-        assert run_cli(*argv, "--q", "full") == 4
 
     @pytest.mark.parametrize("odd, splits", [
         ({"d": 8}, ("train", "val", "test")),

@@ -12,14 +12,12 @@ from slicegraph.data import (
     Sample,
     SynthTaskConfig,
     apply_z_shift,
-    background_feature,
     generate_sample,
     generate_split,
     generate_task,
     label_subspace,
     read_dataset,
     read_features,
-    read_headers,
     write_dataset,
     write_features,
 )
@@ -224,12 +222,6 @@ class TestApplyZShift:
         np.testing.assert_array_equal(shifted.features[5], s.features[0])
         np.testing.assert_array_equal(shifted.features[:5], 0.0)
 
-    def test_custom_pad_feature_fills_vacated_rows(self):
-        s = random_sample(np.random.default_rng(4), n=4, d=3)
-        pad = np.array([9.0, 9.0, 9.0], dtype=np.float32)
-        shifted = apply_z_shift(s, 1, pad)
-        np.testing.assert_array_equal(shifted.features[0], pad)
-
     def test_round_trip_restores_when_margins_match_pad(self):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(7, 3)).astype(np.float32)
@@ -268,11 +260,6 @@ class TestApplyZShift:
         for shift in (-3, -1, 0, 2, 4):
             np.testing.assert_array_equal(
                 apply_z_shift(s, shift).labels, s.labels)
-
-    def test_default_pad_is_background_feature(self):
-        cfg = small_cfg()
-        np.testing.assert_array_equal(background_feature(cfg),
-                                      np.zeros(cfg.d, dtype=np.float32))
 
 
 class TestFeatureFile:
@@ -395,12 +382,6 @@ class TestDatasetDirectory:
         with pytest.raises(BinaryFormatError, match="00002.ctgf"):
             read_dataset(tmp_path / "split")
 
-    def test_headers_match_the_files(self, tmp_path):
-        rng = np.random.default_rng(12)
-        samples = [random_sample(rng, n=n) for n in (4, 9, 6)]
-        write_dataset(tmp_path / "split", samples)
-        assert read_headers(tmp_path / "split") == [(4, 5, 3), (9, 5, 3), (6, 5, 3)]
-
     @pytest.mark.parametrize("edit, error", [
         (lambda raw: raw[:-1], TruncatedPayloadError),
         (lambda raw: raw + b"\x00", TruncatedPayloadError),
@@ -414,9 +395,4 @@ class TestDatasetDirectory:
         path = tmp_path / "split" / "00001.ctgf"
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(error):
-            read_headers(tmp_path / "split")
-
-    def test_headers_of_empty_directory_rejected(self, tmp_path):
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(FileNotFoundError):
-            read_headers(tmp_path / "empty")
+            read_features(path)

@@ -158,12 +158,17 @@ class TestBatchBackward:
         items, _ = mixed_batch(Variant.CHEB)
         passes = graph_passes(graph for graph, _, _ in items)
         assert len(passes) > 1
-        assert any(len(blocks) > 1 for blocks in passes)
+        assert any(len(blocks) > 1 for _, blocks in passes)
         # one graph's samples end one pass and begin the next
         assert any(before[-1][0] is after[0][0]
-                   for before, after in zip(passes, passes[1:]))
-        for blocks in passes:
-            assert sum(len(run) * graph.n_nodes for graph, run in blocks) <= 64
+                   for (_, before), (_, after) in zip(passes, passes[1:]))
+        for positions, blocks in passes:
+            assert sum(b * graph.n_nodes for graph, b in blocks) <= 64
+            # each block's positions are samples of its graph, in row order
+            assert [items[i][0] for i in positions] == \
+                [graph for graph, b in blocks for _ in range(b)]
+        assert sorted(i for positions, _ in passes for i in positions) == \
+            list(range(len(items)))
 
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_mixed_graphs_match_mean_of_single_samples(self, variant, small_passes):

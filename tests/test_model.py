@@ -181,13 +181,13 @@ class TestInitParams:
         np.testing.assert_array_equal(params.head["b2"], 0.0)
 
     def test_shape_metadata(self):
-        params = init_params(8, 5, Variant.CHEB, n_layers=2, cheb_k=4, seed=1)
-        assert params.variant is Variant.CHEB
-        assert params.d == 8
-        assert params.n_labels == 5
-        assert params.n_layers == 2
-        assert params.cheb_k == 4
-        gc = init_params(8, 5, Variant.GRAPHCONV, seed=1)
+        layout = init_params(8, 5, Variant.CHEB, n_layers=2, cheb_k=4, seed=1).layout
+        assert layout.variant is Variant.CHEB
+        assert layout.d == 8
+        assert layout.n_labels == 5
+        assert layout.n_layers == 2
+        assert layout.cheb_k == 4
+        gc = init_params(8, 5, Variant.GRAPHCONV, seed=1).layout
         assert gc.variant is Variant.GRAPHCONV
         assert gc.cheb_k == 0
 
@@ -292,6 +292,23 @@ class TestModelForward:
         want = np.stack([model_forward(graph, h, params) for graph, h in pairs])
         np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_one_graph_split_into_blocks_runs_bit_for_bit(self, variant):
+        # a pass of one graph takes the same path as a pass of many: its
+        # samples as one block or as two give the same bits everywhere
+        rng = np.random.default_rng(14)
+        graph = prepare_graph(spec_of(7, 3, WeightFn.INVERSE_DM))
+        params = init_params(5, 3, variant, seed=6)
+        x = rng.normal(size=(3 * 7, 5))
+        logits, layers, head = pass_forward([(graph, 3)], x, params)
+        split_logits, split_layers, split_head = pass_forward([(graph, 1), (graph, 2)],
+                                                              x, params)
+        saved = [logits, *(a for t in [*layers, head] for a in t)]
+        split = [split_logits, *(a for t in [*split_layers, split_head] for a in t)]
+        assert len(split) == len(saved)
+        for a, b in zip(split, saved):
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
     def test_rejects_rows_unlike_the_blocks(self):
         graph = prepare_graph(spec_of(4, 2))
         params = init_params(3, 2, Variant.CHEB, seed=0)
@@ -371,9 +388,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ctgc"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        assert loaded.variant is variant
-        assert loaded.cheb_k == params.cheb_k
-        assert loaded.n_layers == params.n_layers
+        assert loaded.layout.variant is variant
+        assert loaded.layout.cheb_k == params.layout.cheb_k
+        assert loaded.layout.n_layers == params.layout.n_layers
         assert loaded.layout == params.layout
         np.testing.assert_array_equal(loaded.flat, params.flat)
 
