@@ -40,27 +40,23 @@ from .experiments import (
     score,
 )
 from .gradients import run_gradcheck
-from .graph import GraphConfig, GraphSpec, WeightFn, build_adjacency, build_edge_set, degree_vector
-from .model import GraphOperatorCache, Variant
-from .spectral import lambda_max, laplacian, scale_laplacian
+from .graph import GraphConfig, GraphSpec, WeightFn, build_edge_set, degree_vector
+from .model import GraphOperatorCache, Variant, prepare_graph
 from .train import TrainConfig, train
 
 
 def _config_dict(cfg, skip=()) -> dict:
-    """A config dataclass as config-file keys, in field order: tuples become
-    lists, and TrainConfig's betas become beta1 and beta2."""
+    """A config dataclass as config-file keys, in field order; tuples
+    become lists."""
     out = {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "betas":
-            out["beta1"], out["beta2"] = value
-        elif f.name not in skip:
+        if f.name not in skip:
+            value = getattr(cfg, f.name)
             out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-# one seed drives task and training; adam_eps is fixed, not a setting
-_TRAIN_SKIP = ("seed", "adam_eps")
+_TRAIN_SKIP = ("seed",)  # one seed drives task and training
 _TASK_KEYS = {f.name for f in fields(SynthTaskConfig)} - {"seed"}
 _TRAIN_KEYS = set(_config_dict(TrainConfig(), _TRAIN_SKIP))
 _OTHER_KEYS = {
@@ -116,12 +112,8 @@ def build_settings(args) -> Settings:
                 task_kwargs[key] = tuple(task_kwargs[key])
         task = desk_task_config(seed=seed, **task_kwargs)
 
-        train_kwargs = {k: raw[k] for k in _TRAIN_KEYS - {"beta1", "beta2"} if k in raw}
-        train_cfg = desk_train_config(seed=seed, **train_kwargs)
-        if "beta1" in raw or "beta2" in raw:
-            beta1 = float(raw.get("beta1", train_cfg.betas[0]))
-            beta2 = float(raw.get("beta2", train_cfg.betas[1]))
-            train_cfg = replace(train_cfg, betas=(beta1, beta2))
+        train_cfg = desk_train_config(seed=seed,
+                                      **{k: raw[k] for k in _TRAIN_KEYS if k in raw})
 
         q_raw = _parse_q(_pick(args, "q", raw, 4))
         q = resolve_q(q_raw, task.n_nodes)
@@ -139,12 +131,10 @@ def build_settings(args) -> Settings:
             raise ConfigError(f"shift mode must be 'pad' or 'wrap', got {shift_mode!r}")
 
         grid = AblationGrid(
-            variants=tuple(Variant(v) for v in raw.get("variants",
-                                                       (Variant.CHEB, Variant.GRAPHCONV))),
-            qs=tuple(_parse_q(q) for q in raw.get("qs", (4, 16, "full"))),
-            weight_fns=tuple(WeightFn(w) for w in raw.get(
-                "weight_fns", (WeightFn.INVERSE_DM, WeightFn.EXP_DECAY, WeightFn.CONSTANT))),
-            n_seeds=int(_pick(args, "seeds", raw, raw.get("n_seeds", 3))),
+            variants=raw.get("variants", AblationGrid.variants),
+            qs=tuple(_parse_q(q) for q in raw.get("qs", AblationGrid.qs)),
+            weight_fns=raw.get("weight_fns", AblationGrid.weight_fns),
+            n_seeds=int(_pick(args, "seeds", raw, raw.get("n_seeds", AblationGrid.n_seeds))),
         )
     except ConfigError:
         raise
@@ -158,7 +148,7 @@ def build_settings(args) -> Settings:
 
 
 def _parse_q(value):
-    if value in ("full", "fc"):
+    if value == "full":
         return "full"
     try:
         return int(value)
@@ -184,6 +174,12 @@ def _require_out(args) -> Path:
     return out
 
 
+def _unlike(what, shape, source, source_shape) -> str:
+    """Names `what` and `source` and their differing (d, n_labels) shapes."""
+    return (f"{what}: d={shape[0]}, n_labels={shape[1]}; "
+            f"{source} has d={source_shape[0]}, n_labels={source_shape[1]}")
+
+
 def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
     """The settings, then the named splits of a gen-data directory. Every
     split must have the (d, n_labels) `shape` that `source` has (default:
@@ -198,8 +194,7 @@ def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
     n_nodes = [s.features.shape[0] for split in splits for s in split]
     for name, d, n_labels in shapes:
         if (d, n_labels) != shape:
-            raise BinaryFormatError(f"{base / name}: d={d}, n_labels={n_labels}; "
-                                    f"{source} has d={shape[0]}, n_labels={shape[1]}")
+            raise BinaryFormatError(_unlike(base / name, (d, n_labels), source, shape))
     if settings.q_full:
         settings = replace(settings, graph=replace(settings.graph,
                                                    q=resolve_q("full", max(n_nodes))))
@@ -213,6 +208,11 @@ def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
 def cmd_gen_data(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
+    for name in ("train", "val", "test"):
+        # read_dataset would mix old files in with the new ones
+        if any((out / name).glob("*.ctgf")):
+            raise FileExistsError(f"{out / name} already holds feature files; "
+                                  "gen-data writes only into a directory without them")
     train_set, val_set, test_set = generate_task(settings.task)
     for name, samples in (("train", train_set), ("val", val_set), ("test", test_set)):
         write_dataset(out / name, samples)
@@ -248,12 +248,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     settings = build_settings(args)
     params = load_checkpoint(args.checkpoint)
+    shape = (params.layout.d, params.layout.n_labels)
     if getattr(args, "data", None):
         settings, val_set, test_set = _load_splits(
-            settings, args.data, ("val", "test"), (params.layout.d, params.layout.n_labels),
-            args.checkpoint)
+            settings, args.data, ("val", "test"), shape, args.checkpoint)
     else:
-        val_set, test_set = (generate_split(settings.task, name) for name in ("val", "test"))
+        task = settings.task
+        if (task.d, task.n_labels) != shape:
+            raise ConfigError(_unlike("the task", (task.d, task.n_labels),
+                                      args.checkpoint, shape))
+        val_set, test_set = (generate_split(task, name) for name in ("val", "test"))
 
     thresholds, report = score(params, GraphOperatorCache(settings.graph), val_set, test_set,
                                include_micro=settings.micro)
@@ -305,12 +309,9 @@ def cmd_inspect_graph(args) -> int:
                                          WeightFn(args.weight_fn))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    adjacency = build_adjacency(spec)
-    degrees = degree_vector(adjacency)
-    lap = laplacian(adjacency)
-    lmax = lambda_max(lap)
-    lhat = scale_laplacian(lap, lmax)
-    lhat_eigs = np.linalg.eigvalsh(lhat.values)
+    graph = prepare_graph(spec)
+    degrees = degree_vector(graph.adjacency)
+    lhat_eigs = np.linalg.eigvalsh(graph.lhat.values)
     payload = {
         "n_nodes": spec.n_nodes,
         "q": spec.q,
@@ -321,7 +322,7 @@ def cmd_inspect_graph(args) -> int:
         "n_edges": len(build_edge_set(spec)),
         "degree": {"min": float(degrees.min()), "max": float(degrees.max()),
                    "mean": float(degrees.mean())},
-        "lambda_max": lmax,
+        "lambda_max": graph.lhat.lambda_max_used,
         "scaled_spectrum": {"min": float(lhat_eigs[0]), "max": float(lhat_eigs[-1])},
     }
     print(json.dumps(payload, indent=2))

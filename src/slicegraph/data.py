@@ -36,7 +36,6 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "FEATURE_MAGIC",
-    "FEATURE_VERSION",
 ]
 
 FEATURE_MAGIC = b"CTGF"

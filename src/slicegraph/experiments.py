@@ -27,7 +27,6 @@ __all__ = [
     "predict",
     "score",
     "train_and_evaluate",
-    "robustness_sweep",
     "run_robustness_experiment",
     "AblationGrid",
     "run_ablation",
@@ -56,7 +55,8 @@ def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
         warmup_steps=200,
         total_steps=2000,
         weight_decay=0.01,
-        betas=(0.9, 0.99),
+        beta1=0.9,
+        beta2=0.99,
         seed=seed,
         log_every=50,
     )
@@ -89,34 +89,23 @@ def score(params: ModelParams, graphs: GraphOperatorCache, val_set: list[Sample]
 
 
 def train_and_evaluate(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
-                       variant: Variant, train_cfg: TrainConfig, *,
-                       include_micro: bool = False, out_dir=None,
+                       variant: Variant, train_cfg: TrainConfig, *, out_dir=None,
                        ) -> tuple[TrainResult, np.ndarray, MetricsReport]:
     """Generate the task, train, pick thresholds on val, report on test."""
     train_set, val_set, test_set = generate_task(task_cfg)
     result = train(train_set, val_set, graph_cfg, variant, train_cfg, out_dir=out_dir)
-    thresholds, report = score(result.params, result.graphs, val_set, test_set,
-                               include_micro=include_micro)
+    thresholds, report = score(result.params, result.graphs, val_set, test_set)
     return result, thresholds, report
 
 
-def robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
-                     samples: list[Sample], thresholds, shifts,
-                     *, mode: str = "pad") -> list[dict]:
-    """F1 at each axial shift of the evaluation samples.
-
-    `mode` is "pad" (vacated rows take the all-background row) or "wrap"
-    (rows cycle around). Thresholds are fixed, typically chosen on
-    unshifted validation data.
-    """
-    if mode not in ("pad", "wrap"):
-        raise ValueError(f"mode must be 'pad' or 'wrap', got {mode!r}")
+def _robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
+                      samples: list[Sample], thresholds, shifts, *, wrap: bool) -> list[dict]:
+    """F1 at each axial shift of the evaluation samples, at fixed
+    thresholds. Vacated rows are zeros, the all-background row, unless
+    `wrap` cycles the rows around."""
     curve = []
     for shift in shifts:
-        shifted = [
-            apply_z_shift(s, shift, wrap=(mode == "wrap"))
-            for s in samples
-        ]
+        shifted = [apply_z_shift(s, shift, wrap=wrap) for s in samples]
         report = evaluate(predict(params, graphs, shifted), thresholds)
         curve.append({
             "shift": int(shift),
@@ -136,7 +125,16 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     node permutation and that graph is permutation-symmetric, so its
     curve must be flat to the last bit; it anchors what "robust" means
     for the padded curves above it.
+
+    `mode` is "pad" or "wrap"; it and every shift are checked before
+    anything trains.
     """
+    if mode not in ("pad", "wrap"):
+        raise ValueError(f"mode must be 'pad' or 'wrap', got {mode!r}")
+    n_nodes = task_cfg.n_nodes
+    for shift in shifts:
+        if abs(shift) >= n_nodes:
+            raise ValueError(f"|shift| must be < {n_nodes}, got {shift}")
     train_set, val_set, test_set = generate_task(task_cfg)
     out: dict = {
         "shifts": [int(s) for s in shifts],
@@ -150,15 +148,14 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
         result = train(train_set, val_set, graphs, variant, train_cfg)
         trained[variant] = result.params
         thresholds, baseline = score(result.params, graphs, val_set, test_set)
-        curve = robustness_sweep(result.params, graphs, test_set, thresholds,
-                                 shifts, mode=mode)
+        curve = _robustness_sweep(result.params, graphs, test_set, thresholds,
+                                  shifts, wrap=mode == "wrap")
         out["variants"][variant.value] = {
             "baseline_macro_f1": baseline.macro["f1"],
             "baseline_per_label_f1": [lm.f1 for lm in baseline.per_label],
             "curve": curve,
         }
 
-    n_nodes = task_cfg.n_nodes
     control_graphs = GraphOperatorCache(GraphConfig(q=n_nodes - 1,
                                                     weight_fn=WeightFn.CONSTANT))
     control_params = trained[Variant.CHEB]
@@ -166,8 +163,8 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     out["control"] = {
         "graph": {"q": n_nodes - 1, "weight_fn": WeightFn.CONSTANT.value},
         "mode": "wrap",
-        "curve": robustness_sweep(control_params, control_graphs, test_set,
-                                  control_thresholds, shifts, mode="wrap"),
+        "curve": _robustness_sweep(control_params, control_graphs, test_set,
+                                   control_thresholds, shifts, wrap=True),
     }
 
     if out_dir is not None:

@@ -79,21 +79,15 @@ def scaled_laplacian_from_adjacency(adjacency: np.ndarray) -> ScaledLaplacian:
     return scale_laplacian(lap, lambda_max(lap))
 
 
-def _operator_matrix(lhat) -> np.ndarray:
-    if isinstance(lhat, ScaledLaplacian):
-        return lhat.values
-    return np.asarray(lhat, dtype=float)
-
-
-def cheb_basis(lhat, x: np.ndarray, order: int) -> np.ndarray:
+def cheb_basis(lhat: ScaledLaplacian, x: np.ndarray, order: int) -> np.ndarray:
     """Stack ``[T_0(M) X, ..., T_{order-1}(M) X]`` via the recurrence.
 
-    T_0 X = X, T_1 X = M X, T_k X = 2 M T_{k-1} X - T_{k-2} X.
-    `x` may be a (..., n_nodes, d) stack of samples on one graph; M
-    broadcasts over the leading axes. Accumulation is in double precision
-    regardless of the input dtype.
+    T_0 X = X, T_1 X = M X, T_k X = 2 M T_{k-1} X - T_{k-2} X, with M the
+    scaled Laplacian `lhat.values`. `x` may be a (..., n_nodes, d) stack
+    of samples on one graph; M broadcasts over the leading axes.
+    Accumulation is in double precision regardless of the input dtype.
     """
-    m = _operator_matrix(lhat)
+    m = lhat.values
     x = np.asarray(x, dtype=float)
     if order < 1:
         raise ValueError(f"filter order must be >= 1, got {order}")
@@ -123,7 +117,7 @@ def _check_thetas(thetas, d_in: int) -> np.ndarray:
     return thetas
 
 
-def cheb_apply(lhat, x: np.ndarray, thetas) -> np.ndarray:
+def cheb_apply(lhat: ScaledLaplacian, x: np.ndarray, thetas) -> np.ndarray:
     """Chebyshev filter ``sum_k T_k(lhat) X theta_k``. No nonlinearity here."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

@@ -35,6 +35,9 @@ _SHUFFLE_STREAM = 1  # rng stream tag, distinct from parameter init
 
 _CHECKPOINT_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
+# AdamW's denominator guard: a numerical safeguard, not a setting
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -46,8 +49,8 @@ class TrainConfig:
     warmup_steps: int = 20_000
     total_steps: int = 200_000
     weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.99)
-    adam_eps: float = 1e-8
+    beta1: float = 0.9
+    beta2: float = 0.99
     seed: int = 0
     log_every: int = 50
 
@@ -62,9 +65,9 @@ class TrainConfig:
             raise ValueError(
                 f"warmup_steps {self.warmup_steps} exceeds total_steps {self.total_steps}"
             )
-        for beta in self.betas:
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
-                raise ValueError(f"betas must lie in [0, 1), got {self.betas}")
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.log_every < 1:
@@ -106,14 +109,14 @@ def adamw_step(params: ModelParams, grads: np.ndarray, state: OptimState,
                lr: float, cfg: TrainConfig) -> tuple[ModelParams, OptimState]:
     """One update on the flat vector: decoupled decay p <- p - lr*wd*p
     first, then bias-corrected Adam. Returns fresh params and state."""
-    beta1, beta2 = cfg.betas
+    beta1, beta2 = cfg.beta1, cfg.beta2
     t = state.step + 1
     p = params.flat * (1.0 - lr * cfg.weight_decay)
     m = beta1 * state.m + (1.0 - beta1) * grads
     v = beta2 * state.v + (1.0 - beta2) * (grads * grads)
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
-    p = p - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    p = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return ModelParams(params.layout, p), OptimState(m, v, t)
 
 
@@ -129,11 +132,8 @@ def _checkpoint_marks(total_steps: int) -> set[int]:
 
 
 def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant: Variant,
-          cfg: TrainConfig, *, initial_params: ModelParams | None = None,
-          out_dir=None) -> TrainResult:
-    """Train a model on `train_set`, freshly initialized unless
-    `initial_params` is given (warm start, e.g. from a loaded checkpoint;
-    optimizer moments always start at zero).
+          cfg: TrainConfig, *, out_dir=None) -> TrainResult:
+    """Train a freshly initialized model on `train_set`.
 
     `val_set` is carried for downstream threshold selection and is not
     touched by the loop itself. Per-sample graphs come from `graphs` (a
@@ -153,15 +153,7 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
 
     d = train_set[0].features.shape[1]
     n_labels = int(np.asarray(train_set[0].labels).size)
-    if initial_params is not None:
-        layout = initial_params.layout
-        if layout.d != d or layout.n_labels != n_labels:
-            raise ValueError(
-                f"initial_params is for d={layout.d}, n_labels={layout.n_labels}; "
-                f"data has d={d}, n_labels={n_labels}")
-        params = initial_params
-    else:
-        params = init_params(d, n_labels, variant, seed=cfg.seed)
+    params = init_params(d, n_labels, variant, seed=cfg.seed)
     state = init_optim_state(params)
     if isinstance(graphs, GraphConfig):
         graphs = GraphOperatorCache(graphs)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -17,13 +18,15 @@ import pytest
 import slicegraph
 import slicegraph.cli
 import slicegraph.data
+import slicegraph.experiments
 import slicegraph.model
 import slicegraph.spectral
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
 from slicegraph.data import Sample, read_dataset, write_dataset, write_features
-from slicegraph.graph import WeightFn
+from slicegraph.experiments import desk_task_config, desk_train_config, run_robustness_experiment
+from slicegraph.graph import GraphConfig, WeightFn
 from slicegraph.model import Variant, init_params
 
 TINY = {
@@ -150,6 +153,22 @@ class TestGenData:
 
     def test_missing_out_is_config_error(self, tiny_config):
         assert run_cli("gen-data", "--config", tiny_config) == 2
+
+    @pytest.mark.parametrize("kept", ["train", "val", "test"])
+    def test_directory_holding_data_is_io_error_before_writing(
+            self, tmp_path, tiny_config, capsys, kept):
+        # read_dataset would mix the old files in with a second set
+        out = tmp_path / "data"
+        assert run_cli("gen-data", "--config", tiny_config, "--out", out) == 0
+        for split in {"train", "val", "test"} - {kept}:
+            shutil.rmtree(out / split)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**TINY, "n_nodes": 8, "n_train": 5}))
+        capsys.readouterr()
+        assert run_cli("gen-data", "--config", other, "--seed", 3, "--out", out) == 4
+        assert str(out / kept) in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 class TestTrain:
@@ -386,6 +405,26 @@ class TestEval:
         assert not scored
         assert not (tmp_path / "eval" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("odd, shape", [
+        ({"d": 6}, "d=6, n_labels=2"),
+        ({"n_labels": 3, "diffuse_labels": [1, 2]}, "d=4, n_labels=3"),
+    ], ids=["d", "n_labels"])
+    def test_task_unlike_checkpoint_is_config_error_before_generating(
+            self, tmp_path, tiny_config, monkeypatch, capsys, odd, shape):
+        run = tmp_path / "run"
+        assert run_cli("train", "--config", tiny_config, "--out", run) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**TINY, **odd}))
+        generated = []
+        monkeypatch.setattr(slicegraph.cli, "generate_split",
+                            lambda *a: generated.append(a))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", other,
+                       "--checkpoint", run / "checkpoint.ctgc") == 2
+        err = capsys.readouterr().err
+        assert f"the task: {shape}; {run / 'checkpoint.ctgc'} has d=4, n_labels=2" in err
+        assert not generated
+
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, tiny_config):
         bogus = tmp_path / "bogus.ctgc"
         bogus.write_bytes(b"XXXX" + b"\x00" * 32)
@@ -449,6 +488,28 @@ class TestRobustness:
         assert run_cli("robustness", "--config", tiny_config, "--mode", "wrap",
                        "--shifts", "0,2", "--out", out) == 0
         assert json.loads((out / "robustness.json").read_text())["mode"] == "wrap"
+
+    @pytest.mark.parametrize("shifts", ["0,6", "0,-6"])
+    def test_shift_out_of_range_is_config_error_before_training(
+            self, tmp_path, tiny_config, monkeypatch, capsys, shifts):
+        trained = []
+        monkeypatch.setattr(slicegraph.experiments, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "rob"
+        assert run_cli("robustness", "--config", tiny_config, "--shifts", shifts,
+                       "--out", out) == 2
+        assert "|shift| must be < 6" in capsys.readouterr().err
+        assert not trained
+        assert not (out / "robustness.json").exists()
+
+    def test_unknown_mode_is_rejected_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(slicegraph.experiments, "train",
+                            lambda *a, **k: trained.append(a))
+        with pytest.raises(ValueError, match="mode"):
+            run_robustness_experiment(desk_task_config(n_nodes=6), GraphConfig(q=2),
+                                      desk_train_config(), mode="zigzag")
+        assert not trained
 
 
 class TestAblate:
@@ -533,6 +594,17 @@ class TestConfigHandling:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**TINY, "adam_eps": 1e-6}))
         assert run_cli("train", "--config", path, "--out", tmp_path / "r") == 2
+
+    def test_q_spelling_other_than_full_is_rejected(self, tmp_path, tiny_config, capsys):
+        assert run_cli("train", "--config", tiny_config, "--q", "fc",
+                       "--out", tmp_path / "r") == 2
+        assert run_cli("inspect-graph", "--n-nodes", 5, "--q", "fc") == 2
+        assert "'full'" in capsys.readouterr().err
+
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("Accepted keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+        assert set(re.findall(r"`([a-z0-9_]+)`", section)) == slicegraph.cli._ALL_KEYS
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"

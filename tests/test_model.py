@@ -38,6 +38,7 @@ from slicegraph.model import (
     relu,
     sigmoid,
 )
+from slicegraph.spectral import laplacian, spectral_filter_oracle
 
 
 def spec_of(n, q, weight_fn=WeightFn.CONSTANT, spacing_z=0.015):
@@ -308,6 +309,31 @@ class TestModelForward:
         assert len(split) == len(saved)
         for a, b in zip(split, saved):
             assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+    def test_pass_filter_matches_eigenbasis_oracle(self):
+        # the Chebyshev filter as the model runs it, on a pass of many
+        # banded graphs, against the eigendecomposition route, per sample
+        rng = np.random.default_rng(17)
+        blocks = []
+        for weight_fn in WeightFn:
+            for n in (2, 16, *rng.integers(3, 16, size=2)):
+                spec = GraphSpec.from_spacing_mm(int(n), int(rng.integers(1, n)),
+                                                 float(rng.uniform(0.5, 5.0)), weight_fn)
+                blocks.append((prepare_graph(spec), int(rng.integers(1, 4))))
+        params = init_params(8, 3, Variant.CHEB, cheb_k=3, seed=5)
+        z = rng.normal(size=(sum(b * graph.n_nodes for graph, b in blocks), 8))
+        _, layers, _ = pass_forward(blocks, z, params)
+        for layer, (_, filtered, pre) in zip(params.layers, layers):
+            start = 0
+            for graph, b in blocks:
+                lap = laplacian(graph.adjacency)
+                for _ in range(b):
+                    rows = slice(start, start + graph.n_nodes)
+                    exact = spectral_filter_oracle(lap, z[rows], layer["thetas"])
+                    err = np.linalg.norm(filtered[rows] - exact) / np.linalg.norm(exact)
+                    assert err <= 1e-10
+                    start = rows.stop
+            z = relu(pre)
 
     def test_rejects_rows_unlike_the_blocks(self):
         graph = prepare_graph(spec_of(4, 2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicegraph.train
 from slicegraph.data import Sample
 from slicegraph.errors import NumericError
 from slicegraph.graph import GraphConfig, WeightFn
@@ -39,7 +40,7 @@ class TestTrainConfig:
         assert cfg.max_lr == 1e-4
         assert cfg.warmup_steps == 20_000
         assert cfg.total_steps == 200_000
-        assert cfg.betas == (0.9, 0.99)
+        assert (cfg.beta1, cfg.beta2) == (0.9, 0.99)
         assert cfg.weight_decay == 0.01
 
     def test_validation(self):
@@ -52,7 +53,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(warmup_steps=100, total_steps=50)
         with pytest.raises(ValueError):
-            TrainConfig(betas=(1.0, 0.99))
+            TrainConfig(beta1=1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(beta2=1.0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=-0.1)
 
@@ -139,7 +142,7 @@ class TestAdamW:
 
     def test_matches_scalar_reference_implementation(self):
         beta1, beta2, eps, wd = 0.9, 0.99, 1e-8, 0.01
-        cfg = TrainConfig(betas=(beta1, beta2), adam_eps=eps, weight_decay=wd)
+        cfg = TrainConfig(beta1=beta1, beta2=beta2, weight_decay=wd)
         params = init_params(2, 1, Variant.GRAPHCONV, n_layers=1, seed=5)
         state = init_optim_state(params)
         reference = [float(x) for x in params.flat]
@@ -211,35 +214,21 @@ class TestTrainLoop:
                                log_every=100))
         assert not np.array_equal(r1.params.flat, r2.params.flat)
 
-    def test_non_finite_loss_raises_with_diagnostics(self):
+    def test_non_finite_loss_raises_with_diagnostics(self, monkeypatch):
         samples = toy_samples(n_samples=1)
         cfg = TrainConfig(batch_size=1, max_lr=1e-3, warmup_steps=2,
                           total_steps=10, weight_decay=0.0, seed=0, log_every=5)
         params = init_params(4, 3, Variant.CHEB, seed=0)
         poisoned = np.array(params.flat)
         poisoned[:4] = np.nan  # first row of the first filter matrix
+        monkeypatch.setattr(slicegraph.train, "init_params",
+                            lambda *a, **k: ModelParams(params.layout, poisoned))
         with pytest.raises(NumericError) as excinfo:
-            train(samples, [], GRAPH, Variant.CHEB, cfg,
-                  initial_params=ModelParams(params.layout, poisoned))
+            train(samples, [], GRAPH, Variant.CHEB, cfg)
         err = excinfo.value
         assert err.step == 0
         assert len(err.grad_norms) == len(params.layout.entries)
         assert "not finite" in str(err)
-
-    def test_warm_start_shape_mismatch_rejected(self):
-        samples = toy_samples()
-        cfg = self.overfit_config(total_steps=10)
-        wrong = init_params(7, 3, Variant.CHEB, seed=0)
-        with pytest.raises(ValueError):
-            train(samples, [], GRAPH, Variant.CHEB, cfg, initial_params=wrong)
-
-    def test_warm_start_continues_from_given_params(self):
-        samples = toy_samples(n_samples=1)
-        cfg = self.overfit_config(total_steps=100)
-        cold = train(samples, [], GRAPH, Variant.CHEB, cfg)
-        warm = train(samples, [], GRAPH, Variant.CHEB, cfg,
-                     initial_params=cold.params)
-        assert warm.loss_curve[0]["loss"] < cold.loss_curve[0]["loss"]
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
