@@ -30,7 +30,9 @@ from .data import SynthTaskConfig, generate_split, generate_task, read_dataset, 
 from .errors import BinaryFormatError, ConfigError, NumericError
 from .experiments import (
     DEFAULT_SHIFTS,
+    SHIFT_MODES,
     AblationGrid,
+    check_shift_mode,
     desk_task_config,
     desk_train_config,
     format_ablation_text,
@@ -127,8 +129,7 @@ def build_settings(args) -> Settings:
         else:
             shifts = tuple(int(s) for s in shifts)
         shift_mode = _pick(args, "mode", raw, raw.get("shift_mode", "pad"))
-        if shift_mode not in ("pad", "wrap"):
-            raise ConfigError(f"shift mode must be 'pad' or 'wrap', got {shift_mode!r}")
+        check_shift_mode(shift_mode)
 
         grid = AblationGrid(
             variants=raw.get("variants", AblationGrid.variants),
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("robustness", help="F1 vs axial shift, both variants")
     common(sp)
     sp.add_argument("--shifts", default=None, help="comma-separated, e.g. 0,2,4,8,16")
-    sp.add_argument("--mode", choices=["pad", "wrap"], default=None)
+    sp.add_argument("--mode", choices=SHIFT_MODES, default=None)
     sp.set_defaults(handler=cmd_robustness)
 
     sp = sub.add_parser("ablate", help="variant x connectivity x weighting grid")

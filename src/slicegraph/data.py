@@ -15,6 +15,7 @@ parallel without changing the data.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,32 +213,33 @@ def write_features(path, sample: Sample) -> None:
 
 def read_features(path) -> Sample:
     """Inverse of `write_features`; bit-exact round-trip for f32 features.
-    The magic, the version and the file size the header implies are
-    checked first. Content that `Sample` rejects (fewer than 2 nodes, a
-    label byte other than 0/1, non-finite features, spacing <= 0) raises
-    BinaryFormatError."""
-    data = Path(path).read_bytes()
+    `path` is a str or a Path. The magic, the version and the file size
+    the header implies are checked first. Content that `Sample` rejects
+    (fewer than 2 nodes, a label byte other than 0/1, non-finite features,
+    spacing <= 0) raises BinaryFormatError. Every message names `path`."""
+    with open(path, "rb") as f:
+        data = f.read()
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:
         raise BadMagicError(
-            f"not a feature file: expected magic {FEATURE_MAGIC!r}, got {data[:4]!r}"
+            f"{path}: not a feature file: expected magic {FEATURE_MAGIC!r}, got {data[:4]!r}"
         )
     if len(data) < _HEADER.size:
         raise TruncatedPayloadError(
-            f"feature file header needs {_HEADER.size} bytes, file has {len(data)}"
+            f"{path}: feature file header needs {_HEADER.size} bytes, file has {len(data)}"
         )
     _, version, n, d, n_labels, spacing = _HEADER.unpack_from(data)
     if version != FEATURE_VERSION:
         raise VersionMismatchError(
-            f"feature file version {version}, this build reads {FEATURE_VERSION}"
+            f"{path}: feature file version {version}, this build reads {FEATURE_VERSION}"
         )
-    body = data[_HEADER.size:]
     expected = n_labels + 4 * n * d
-    if len(body) != expected:
+    payload = len(data) - _HEADER.size
+    if payload != expected:
         raise TruncatedPayloadError(
-            f"feature payload: expected {expected} bytes, got {len(body)}"
+            f"{path}: feature payload: expected {expected} bytes, got {payload}"
         )
-    labels = np.frombuffer(body[:n_labels], dtype=np.uint8).copy()
-    features = np.frombuffer(body[n_labels:], dtype="<f4").reshape(n, d).copy()
+    labels = np.frombuffer(data, np.uint8, n_labels, _HEADER.size).copy()
+    features = np.frombuffer(data, "<f4", n * d, _HEADER.size + n_labels).reshape(n, d).copy()
     try:
         return Sample(features, labels, spacing)
     except ValueError as exc:
@@ -256,14 +258,16 @@ def read_dataset(directory) -> list[Sample]:
     """Every feature file in `directory`, in name order. All must share the
     first file's feature width d and label count; the first file that
     does not raises BinaryFormatError."""
-    paths = sorted(Path(directory).glob("*.ctgf"))
-    if not paths:
+    # one listing, names compared as strings: the order of sorted(glob)
+    names = sorted(name for name in os.listdir(directory) if name.endswith(".ctgf"))
+    if not names:
         raise FileNotFoundError(f"no .ctgf files in {directory}")
+    paths = [os.path.join(directory, name) for name in names]
     samples = [read_features(p) for p in paths]
     d, n_labels = samples[0].features.shape[1], samples[0].labels.size
     for path, sample in zip(paths, samples):
         if (sample.features.shape[1], sample.labels.size) != (d, n_labels):
             raise BinaryFormatError(
                 f"{path}: d={sample.features.shape[1]}, n_labels={sample.labels.size}; "
-                f"{paths[0].name} has d={d}, n_labels={n_labels}")
+                f"{names[0]} has d={d}, n_labels={n_labels}")
     return samples

@@ -32,9 +32,20 @@ __all__ = [
     "run_ablation",
     "format_ablation_text",
     "DEFAULT_SHIFTS",
+    "SHIFT_MODES",
 ]
 
 DEFAULT_SHIFTS = (0, 2, 4, 8, 16)
+
+# How `run_robustness_experiment` fills the rows a shift vacates.
+SHIFT_MODES = ("pad", "wrap")
+
+
+def check_shift_mode(mode) -> None:
+    """ValueError unless `mode` is one of SHIFT_MODES."""
+    if mode not in SHIFT_MODES:
+        raise ValueError(
+            f"shift mode must be {' or '.join(map(repr, SHIFT_MODES))}, got {mode!r}")
 
 
 def desk_task_config(seed: int = 0, **overrides) -> SynthTaskConfig:
@@ -126,11 +137,10 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     curve must be flat to the last bit; it anchors what "robust" means
     for the padded curves above it.
 
-    `mode` is "pad" or "wrap"; it and every shift are checked before
+    `mode` is one of SHIFT_MODES; it and every shift are checked before
     anything trains.
     """
-    if mode not in ("pad", "wrap"):
-        raise ValueError(f"mode must be 'pad' or 'wrap', got {mode!r}")
+    check_shift_mode(mode)
     n_nodes = task_cfg.n_nodes
     for shift in shifts:
         if abs(shift) >= n_nodes:

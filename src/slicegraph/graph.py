@@ -122,12 +122,21 @@ def edge_weight(i: int, j: int, spec: GraphSpec) -> float:
 
 
 def build_adjacency(spec: GraphSpec) -> np.ndarray:
-    """Dense symmetric weighted adjacency with a zero diagonal."""
-    idx = np.arange(spec.n_nodes)
-    gaps = np.abs(idx[:, None] - idx[None, :])
-    weights = _gap_weight(gaps, spec.spacing_z, spec.weight_fn)
-    banded = (gaps >= 1) & (gaps <= spec.q)
-    return np.where(banded, weights, 0.0)
+    """Dense symmetric weighted adjacency with a zero diagonal.
+
+    Entry (i, j) depends only on the gap |i - j|, so the matrix is filled
+    in one pass from one gap-weight vector w: w[0] = 0, w[g] is the weight
+    of gap g up to q, and 0 past it. The result is a copy of a Toeplitz
+    view of [w[n-1], ..., w[1], w[0], w[1], ..., w[n-1]].
+    """
+    n = spec.n_nodes
+    band = min(spec.q, n - 1)
+    w = np.zeros(n)
+    w[1:band + 1] = _gap_weight(np.arange(1, band + 1), spec.spacing_z, spec.weight_fn)
+    mirrored = np.concatenate((w[:0:-1], w))
+    # row i starts i entries before w[0] and runs forward: entry (i, j) is w[|i - j|]
+    step = mirrored.itemsize
+    return np.lib.stride_tricks.as_strided(mirrored[n - 1:], (n, n), (-step, step)).copy()
 
 
 def degree_vector(adjacency: np.ndarray) -> np.ndarray:

@@ -103,28 +103,38 @@ class ParamLayout:
         return layer * self.n_layers + head
 
     @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        return tuple(accumulate((math.prod(shape) for _, shape in self.entries),
-                                initial=0))
+    def _slices(self) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+        """Each entry's (slice of the flat vector, shape), in entry order."""
+        offsets = tuple(accumulate((math.prod(shape) for _, shape in self.entries),
+                                   initial=0))
+        return tuple((slice(start, stop), shape) for start, stop, (_, shape)
+                     in zip(offsets, offsets[1:], self.entries))
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
+        """Entry names of each conv layer, then of the head; every name
+        group is a consecutive run of entries."""
+        names = tuple(name for name, _ in self.entries)
+        n_conv = len(names) - _HEAD_TENSORS
+        width = n_conv // self.n_layers
+        return (tuple(names[i:i + width] for i in range(0, n_conv, width)),
+                names[n_conv:])
 
     @property
     def size(self) -> int:
         """Length of the flat parameter vector."""
-        return self._offsets[-1]
+        return self._slices[-1][0].stop
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """One view of `flat` per entry, shaped as the entry says."""
-        offsets = self._offsets
-        return [flat[offsets[i]:offsets[i + 1]].reshape(shape)
-                for i, (_, shape) in enumerate(self.entries)]
+        return [flat[part].reshape(shape) for part, shape in self._slices]
 
     def group(self, flat: np.ndarray) -> tuple[tuple[dict, ...], dict]:
         """Named views of `flat`: one dict per conv layer, then the head's."""
-        named = list(zip((name for name, _ in self.entries), self.views(flat)))
-        n_conv = len(named) - _HEAD_TENSORS
-        width = n_conv // self.n_layers
-        layers = tuple(dict(named[i:i + width]) for i in range(0, n_conv, width))
-        return layers, dict(named[n_conv:])
+        views = iter(self.views(flat))
+        layer_names, head_names = self._groups
+        layers = tuple(dict(zip(names, views)) for names in layer_names)
+        return layers, dict(zip(head_names, views))
 
 
 class ModelParams:

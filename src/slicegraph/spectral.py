@@ -48,7 +48,10 @@ def laplacian(adjacency: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency must be symmetric")
     if np.any(np.diag(a) != 0.0):
         raise ValueError("adjacency must have a zero diagonal")
-    return np.diag(a.sum(axis=1)) - a
+    # 0.0 - a, not -a: negation would turn the +0.0 entries into -0.0
+    lap = 0.0 - a
+    np.fill_diagonal(lap, a.sum(axis=1))
+    return lap
 
 
 def lambda_max(lap: np.ndarray) -> float:
@@ -70,8 +73,9 @@ def scale_laplacian(lap: np.ndarray, lmax: float) -> ScaledLaplacian:
     """Affine rescale ``(2/lmax) * L - I`` mapping the spectrum into [-1, 1]."""
     if not lmax > 0:
         raise ValueError(f"lambda_max must be positive, got {lmax}")
-    lap = np.asarray(lap, dtype=float)
-    return ScaledLaplacian((2.0 / lmax) * lap - np.eye(lap.shape[0]), float(lmax))
+    values = (2.0 / lmax) * np.asarray(lap, dtype=float)
+    np.fill_diagonal(values, values.diagonal() - 1.0)
+    return ScaledLaplacian(values, float(lmax))
 
 
 def scaled_laplacian_from_adjacency(adjacency: np.ndarray) -> ScaledLaplacian:

@@ -425,6 +425,19 @@ class TestEval:
         assert f"the task: {shape}; {run / 'checkpoint.ctgc'} has d=4, n_labels=2" in err
         assert not generated
 
+    def test_directory_named_like_a_feature_file_is_io_error(
+            self, tmp_path, tiny_config, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
+        (data / "test" / "d.ctgf").mkdir()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", tiny_config, "--data", data,
+                       "--checkpoint", run / "checkpoint.ctgc",
+                       "--out", tmp_path / "eval") == 4
+        assert "d.ctgf" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.json").exists()
+
     def test_corrupt_checkpoint_is_io_error(self, tmp_path, tiny_config):
         bogus = tmp_path / "bogus.ctgc"
         bogus.write_bytes(b"XXXX" + b"\x00" * 32)
@@ -502,13 +515,21 @@ class TestRobustness:
         assert not trained
         assert not (out / "robustness.json").exists()
 
-    def test_unknown_mode_is_rejected_before_training(self, monkeypatch):
+    def test_unknown_mode_is_rejected_before_training(self, tmp_path, monkeypatch, capsys):
         trained = []
         monkeypatch.setattr(slicegraph.experiments, "train",
                             lambda *a, **k: trained.append(a))
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="mode") as excinfo:
             run_robustness_experiment(desk_task_config(n_nodes=6), GraphConfig(q=2),
                                       desk_train_config(), mode="zigzag")
+        # the config check in front of every command says the same
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "shift_mode": "zigzag"}))
+        capsys.readouterr()
+        assert run_cli("robustness", "--config", config, "--out", tmp_path / "rob") == 2
+        assert capsys.readouterr().err == f"config error: {excinfo.value}\n"
+        assert "'pad' or 'wrap'" in str(excinfo.value)
+        assert run_cli("robustness", "--mode", "zigzag") == 2
         assert not trained
 
 

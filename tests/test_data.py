@@ -1,12 +1,14 @@
 """Synthetic task generation, axial shifts, and the feature-file format."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicegraph.data
 from slicegraph.data import (
     FEATURE_MAGIC,
     Sample,
@@ -358,6 +360,28 @@ class TestFeatureFile:
 
 
 class TestDatasetDirectory:
+    def test_reads_the_glob_file_set_in_sorted_order(self, tmp_path, monkeypatch):
+        names = ["10.ctgf", "9.ctgf", ".h.ctgf", "B.ctgf", "a.ctgf"]
+        rng = np.random.default_rng(12)
+        written = {}
+        for name in names:
+            written[name] = random_sample(rng)
+            write_features(tmp_path / name, written[name])
+        (tmp_path / "notes.txt").write_text("not a volume")
+        write_features(tmp_path / "x.ctgf.bak", random_sample(rng))
+        expected = [p.name for p in sorted(Path(tmp_path).glob("*.ctgf"))]
+        assert expected == [".h.ctgf", "10.ctgf", "9.ctgf", "B.ctgf", "a.ctgf"]
+
+        calls = []
+        original = slicegraph.data.read_features
+        monkeypatch.setattr(slicegraph.data, "read_features",
+                            lambda path: calls.append(Path(path).name) or original(path))
+        loaded = read_dataset(tmp_path)
+        assert calls == expected
+        for name, sample in zip(expected, loaded):
+            np.testing.assert_array_equal(sample.features, written[name].features)
+            assert sample.spacing_z_mm == written[name].spacing_z_mm
+
     def test_write_read_preserves_order_and_content(self, tmp_path):
         rng = np.random.default_rng(10)
         samples = [random_sample(rng) for _ in range(5)]
@@ -388,11 +412,14 @@ class TestDatasetDirectory:
         (lambda raw: b"XXXX" + raw[4:], BadMagicError),
         (lambda raw: raw[:4] + b"\x63" + raw[5:], VersionMismatchError),
         (lambda raw: raw[:20], TruncatedPayloadError),
-    ], ids=["short", "long", "magic", "version", "header_only"])
+        (lambda raw: raw[:3], BadMagicError),
+    ], ids=["short", "long", "magic", "version", "header_only", "stub"])
     def test_headers_check_magic_version_and_size(self, tmp_path, edit, error):
         rng = np.random.default_rng(13)
         write_dataset(tmp_path / "split", [random_sample(rng) for _ in range(3)])
         path = tmp_path / "split" / "00001.ctgf"
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(error):
-            read_features(path)
+        for read, arg in ((read_features, path), (read_features, str(path)),
+                          (read_dataset, tmp_path / "split")):
+            with pytest.raises(error, match="00001.ctgf"):
+                read(arg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicegraph.errors import DegenerateSpectrumError
-from slicegraph.graph import GraphSpec, WeightFn, build_adjacency
+from slicegraph.graph import GraphSpec, WeightFn, _gap_weight, build_adjacency
 from slicegraph.spectral import (
     ScaledLaplacian,
     cheb_apply,
@@ -72,6 +72,45 @@ class TestLaplacian:
         for _ in range(100):
             lap = laplacian(build_adjacency(random_spec(rng)))
             assert np.linalg.eigvalsh(lap)[0] >= -1e-9
+
+
+def dense_operators(spec):
+    """The adjacency and the Laplacian by their dense formulas: the gap
+    weight of every entry masked to the band, then diag(degrees) - A."""
+    idx = np.arange(spec.n_nodes)
+    gaps = np.abs(idx[:, None] - idx[None, :])
+    banded = (gaps >= 1) & (gaps <= spec.q)
+    adjacency = np.where(banded, _gap_weight(gaps, spec.spacing_z, spec.weight_fn), 0.0)
+    return adjacency, np.diag(adjacency.sum(axis=1)) - adjacency
+
+
+class TestOperatorsMatchDenseFormulas:
+    """The banded fill and the in-place Laplacian write the same bytes as
+    the dense formulas they replace."""
+
+    SPACINGS_MM = (0.625, 1.25, 1.5, 2.5, 5.0, 100_000.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 72, 128])
+    @pytest.mark.parametrize("weight_fn", list(WeightFn))
+    def test_adjacency_and_scaled_laplacian_bytes(self, weight_fn, n):
+        for q in sorted({1, 2, 4, 16, n - 1, n + 5} - {0}):
+            for spacing in self.SPACINGS_MM:
+                spec = GraphSpec.from_spacing_mm(n, q, spacing, weight_fn)
+                adjacency, lap = dense_operators(spec)
+                built = build_adjacency(spec)
+                assert built.tobytes() == adjacency.tobytes()
+                assert laplacian(built).tobytes() == lap.tobytes()
+                if weight_fn is WeightFn.EXP_DECAY and spacing == 100_000.0:
+                    # every weight underflows to 0: no edges on either side
+                    with pytest.raises(DegenerateSpectrumError):
+                        lambda_max(lap)
+                    with pytest.raises(DegenerateSpectrumError):
+                        scaled_laplacian_from_adjacency(built)
+                    continue
+                top = lambda_max(lap)
+                lhat = scaled_laplacian_from_adjacency(built)
+                assert lhat.lambda_max_used == top
+                assert lhat.values.tobytes() == ((2.0 / top) * lap - np.eye(n)).tobytes()
 
 
 class TestLambdaMax:
