@@ -12,7 +12,8 @@ One executable, seven subcommands:
 
 Settings come from defaults, then an optional JSON config file
 (--config), then explicit flags, in that order of precedence. Exit
-codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
+codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error. Any
+other failure is a bug: it exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def build_settings(args) -> Settings:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    seed = int(_pick(args, "seed", raw, 0))
     try:
+        seed = int(_pick(args, "seed", raw, 0))
         task_kwargs = {k: raw[k] for k in _TASK_KEYS if k in raw}
         for key in ("local_labels", "diffuse_labels"):
             if key in task_kwargs:
@@ -425,10 +426,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        # validation errors from configs and dataclasses are config errors here
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main_entry() -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Sample, SynthTaskConfig, apply_z_shift, generate_task
+from .errors import ConfigError
 from .graph import GraphConfig, WeightFn
 from .metrics import MetricsReport, PredictionSet, evaluate, select_thresholds
 from .model import GraphOperatorCache, ModelParams, Variant, graph_passes, pass_forward, sigmoid
@@ -144,7 +145,7 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     n_nodes = task_cfg.n_nodes
     for shift in shifts:
         if abs(shift) >= n_nodes:
-            raise ValueError(f"|shift| must be < {n_nodes}, got {shift}")
+            raise ConfigError(f"|shift| must be < {n_nodes}, got {shift}")
     train_set, val_set, test_set = generate_task(task_cfg)
     out: dict = {
         "shifts": [int(s) for s in shifts],

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .graph import GraphSpec, WeightFn
 from .model import (
     ModelParams,
@@ -27,6 +28,7 @@ from .model import (
     prepare_graph,
     sigmoid,
 )
+from .spectral import cheb_basis_adjoint
 
 __all__ = [
     "bce_grad_logits",
@@ -85,31 +87,22 @@ def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
                    [graph.n_nodes for graph, b in blocks for _ in range(b)], axis=0)
     d = params.layout.d
 
-    cheb = params.layout.variant is Variant.CHEB
+    order = params.layout.cheb_k  # 0 for graphconv
     for layer, layer_grad, (z_in, mid, pre) in zip(
             reversed(params.layers), reversed(layer_grads), reversed(layers)):
         d_pre_l = dz * (pre > 0)
-        if cheb:
+        if order:
             basis, filtered = z_in, mid
             layer_grad["ff_weight"] += filtered.T @ d_pre_l
             layer_grad["ff_bias"] += d_pre_l.sum(axis=0)
             d_filtered = d_pre_l @ layer["ff_weight"].T
 
-            thetas = layer["thetas"]
-            order = thetas.shape[0]
             layer_grad["thetas"] += (basis.T @ d_filtered).reshape(order, d, d)
-            # Adjoint of the three-term recurrence, per graph on its own rows
-            # of g, in place. g[k] holds the gradient reaching T_k(lhat) Z;
-            # lhat is symmetric so its transpose is itself.
-            g = d_filtered @ thetas.transpose(0, 2, 1)
+            # g[k] holds the gradient reaching T_k(lhat) Z; each graph's
+            # adjoint sums its rows of g into g[0], in place
+            g = d_filtered @ layer["thetas"].transpose(0, 2, 1)
             for graph, b, rows in _block_slices(blocks):
-                lhat_m = graph.lhat.values
-                g_graph = g[:, rows].reshape(order, b, graph.n_nodes, d)
-                for k in range(order - 1, 1, -1):
-                    g_graph[k - 1] += 2.0 * (lhat_m @ g_graph[k])
-                    g_graph[k - 2] -= g_graph[k]
-                if order > 1:
-                    g_graph[0] += lhat_m @ g_graph[1]
+                cheb_basis_adjoint(graph.lhat, g[:, rows].reshape(order, b, graph.n_nodes, d))
             dz = g[0]
         else:
             neigh = mid
@@ -118,8 +111,7 @@ def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
             layer_grad["bias"] += d_pre_l.sum(axis=0)
             # adjacency is symmetric, so A^T collapses to A here
             d_neigh = d_pre_l @ layer["w_neigh"].T
-            dz = d_pre_l @ layer["w_self"].T + per_graph(
-                blocks, d_neigh, lambda graph, rows: graph.adjacency @ rows, d)
+            dz = d_pre_l @ layer["w_self"].T + per_graph(blocks, d_neigh, 0)
 
 
 def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
@@ -204,7 +196,9 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
     KINK_MARGIN of a ReLU hinge are redrawn — the oracle is ill-defined
     there. Passing means every trial stays within GRADCHECK_TOL."""
     if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     rng = np.random.default_rng(seed)
     weight_fns = list(WeightFn)
     trials = []
@@ -238,7 +232,7 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
         _, analytic = backward([(graph, h, labels)], params)
         numeric = finite_diff_grad(graph, h, labels, params, epsilon)
         err = gradcheck_rel_error(analytic, numeric)
-        worst = max(worst, err)
+        worst = float(np.maximum(worst, err))  # a NaN error fails; max() would drop it
         trials.append({"variant": variant.value, "n_nodes": n, "d": d,
                        "n_labels": n_labels, "q": q, "rel_error": err})
     return {

@@ -283,12 +283,16 @@ def _block_slices(blocks):
         start = stop
 
 
-def per_graph(blocks, z: np.ndarray, op, width: int) -> np.ndarray:
-    """`op(graph, rows)` on each block's (b, n_nodes, d) rows of the (R, d)
-    matrix `z`; each result fills the same rows of an (R, width) matrix."""
-    out = np.empty((z.shape[0], width))
+def per_graph(blocks, z: np.ndarray, order: int) -> np.ndarray:
+    """Each block's graph operator on its (b, n_nodes, d) rows of the (R, d)
+    matrix `z`, into the same rows of the result. `order` 0 gives A·Z, (R, d),
+    its own adjoint as A is symmetric; any other `order` gives the (R, order·d)
+    side-by-side Chebyshev basis [T_0(L̂)Z, ..., T_{order-1}(L̂)Z]."""
+    out = np.empty((z.shape[0], max(order, 1) * z.shape[1]))
     for graph, b, rows in _block_slices(blocks):
-        part = op(graph, z[rows].reshape(b, graph.n_nodes, -1))
+        z_graph = z[rows].reshape(b, graph.n_nodes, -1)
+        part = (cheb_basis(graph.lhat, z_graph, order).transpose(1, 2, 0, 3) if order
+                else graph.adjacency @ z_graph)
         out[rows].reshape(part.shape)[...] = part
     return out
 
@@ -306,24 +310,20 @@ def pass_forward(blocks, x: np.ndarray, params: ModelParams):
     n_rows = sum(b * graph.n_nodes for graph, b in blocks)
     if z.shape != (n_rows, d):
         raise ValueError(f"features must be ({n_rows}, {d}) node rows, got shape {z.shape}")
-    cheb = params.layout.variant is Variant.CHEB
+    order = params.layout.cheb_k  # 0 for graphconv, which applies A
     layers = []
     for layer in params.layers:
-        if cheb:
+        op_z = per_graph(blocks, z, order)
+        if order:
             # ReLU(feedforward(Chebyshev filter(z))); the filter is one
             # (R, K·d) @ (K·d, d) matmul over the side-by-side basis
-            thetas = layer["thetas"]
-            order = thetas.shape[0]
-            basis = per_graph(blocks, z, lambda graph, rows: cheb_basis(
-                graph.lhat, rows, order).transpose(1, 2, 0, 3), order * d)
-            filtered = basis @ thetas.reshape(-1, d)
+            filtered = op_z @ layer["thetas"].reshape(-1, d)
             pre = filtered @ layer["ff_weight"] + layer["ff_bias"]
-            layers.append((basis, filtered, pre))
+            layers.append((op_z, filtered, pre))
         else:
             # ReLU(z W_self + (A z) W_neigh + bias): weighted neighbour sum
-            neigh = per_graph(blocks, z, lambda graph, rows: graph.adjacency @ rows, d)
-            pre = z @ layer["w_self"] + neigh @ layer["w_neigh"] + layer["bias"]
-            layers.append((z, neigh, pre))
+            pre = z @ layer["w_self"] + op_z @ layer["w_neigh"] + layer["bias"]
+            layers.append((z, op_z, pre))
         z = relu(pre)
 
     # sum pooling: each sample's node rows summed into its pooled row

@@ -20,6 +20,7 @@ __all__ = [
     "scale_laplacian",
     "scaled_laplacian_from_adjacency",
     "cheb_basis",
+    "cheb_basis_adjoint",
     "cheb_apply",
     "spectral_filter_oracle",
 ]
@@ -108,6 +109,19 @@ def cheb_basis(lhat: ScaledLaplacian, x: np.ndarray, order: int) -> np.ndarray:
     for k in range(2, order):
         basis[k] = 2.0 * (m @ basis[k - 1]) - basis[k - 2]
     return basis
+
+
+def cheb_basis_adjoint(lhat: ScaledLaplacian, g: np.ndarray) -> np.ndarray:
+    """Adjoint of `cheb_basis`: ``sum_k T_k(M) G[k]`` for an (order, ...,
+    n_nodes, d) stack G, G[k] the gradient reaching T_k(M) X. Runs the
+    recurrence backwards in place on `g` and returns g[0]; M is symmetric."""
+    m = lhat.values
+    for k in range(len(g) - 1, 1, -1):
+        g[k - 1] += 2.0 * (m @ g[k])
+        g[k - 2] -= g[k]
+    if len(g) > 1:
+        g[0] += m @ g[1]
+    return g[0]
 
 
 def _check_thetas(thetas, d_in: int) -> np.ndarray:

@@ -479,6 +479,14 @@ class TestGradcheck:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["passed"] is False
 
+    def test_nan_error_fails(self, capsys):
+        # a step this large overflows every central difference to NaN
+        with np.errstate(all="ignore"):
+            assert run_cli("gradcheck", "--trials", 2, "--epsilon", 1e308) == 3
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["passed"] is False
+        assert np.isnan(payload["max_rel_error"])
+
 
 class TestRobustness:
     def test_curves_and_control(self, tmp_path, tiny_config, capsys):
@@ -627,6 +635,14 @@ class TestConfigHandling:
         section = readme.split("Accepted keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
         assert set(re.findall(r"`([a-z0-9_]+)`", section)) == slicegraph.cli._ALL_KEYS
 
+    @pytest.mark.parametrize("seed", [None, [1], "abc"])
+    def test_unparseable_seed_is_config_error(self, tmp_path, capsys, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": seed}))
+        assert run_cli("gen-data", "--config", path, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "d").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))
@@ -727,3 +743,29 @@ class TestConfigHandling:
         settings = build_settings(Args())
         assert settings.shifts == (0, 3)
         assert settings.shift_mode == "wrap"
+
+
+class TestExitCodes:
+    def test_engine_error_is_not_a_config_error(self, tmp_path, tiny_config, monkeypatch):
+        def broken(*args):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(slicegraph.model, "per_graph", broken)
+        with pytest.raises(ValueError, match="engine bug"):
+            run_cli("train", "--config", tiny_config, "--out", tmp_path / "r")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gradcheck", "--trials", 0), "n_trials must be >= 1, got 0"),
+        (("gradcheck", "--epsilon", 0), "epsilon must be positive, got 0.0"),
+        (("robustness", "--shifts", "0,25"), "|shift| must be < 20, got 25"),
+    ])
+    def test_bad_input_is_config_error_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                        argv, message):
+        trained = []
+        monkeypatch.setattr(slicegraph.experiments, "train",
+                            lambda *a, **k: trained.append(a))
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not trained
+        assert not out.exists() or not any(out.iterdir())

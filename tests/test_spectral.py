@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from slicegraph.errors import DegenerateSpectrumError
 from slicegraph.graph import GraphSpec, WeightFn, _gap_weight, build_adjacency
+from slicegraph.model import SampleGraph, per_graph
 from slicegraph.spectral import (
     ScaledLaplacian,
     cheb_apply,
     cheb_basis,
+    cheb_basis_adjoint,
     lambda_max,
     laplacian,
     scale_laplacian,
@@ -198,6 +200,45 @@ class TestChebBasis:
             cheb_basis(lhat, np.zeros((3, 2)), 0)
         with pytest.raises(ValueError):
             cheb_basis(lhat, np.zeros((4, 2)), 2)
+
+
+def band_spec(n):
+    return GraphSpec(n_nodes=n, q=min(4, n - 1), spacing_z=0.015,
+                     weight_fn=WeightFn.INVERSE_DM)
+
+
+class TestAdjoints:
+    """<op(X), G> = <X, op*(G)> for each graph operator and its adjoint."""
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 72, 128])
+    def test_cheb_basis_adjoint_dot_product(self, n, order, b):
+        rng = np.random.default_rng([n, order, b])
+        lhat = scaled_laplacian_from_adjacency(build_adjacency(band_spec(n)))
+        # one sample as an (n, d) matrix, several as a (b, n, d) stack
+        x = rng.normal(size=(n, 4) if b == 1 else (b, n, 4))
+        g = rng.normal(size=(order,) + x.shape)
+        lhs = float(np.sum(cheb_basis(lhat, x, order) * g))
+        rhs = float(np.sum(x * cheb_basis_adjoint(lhat, g.copy())))
+        assert rhs == pytest.approx(lhs, rel=1e-12)
+
+    def test_adjoint_runs_in_place_into_order_zero(self):
+        lhat = scaled_laplacian_from_adjacency(build_adjacency(band_spec(6)))
+        g = np.random.default_rng(35).normal(size=(3, 6, 2))
+        assert np.shares_memory(cheb_basis_adjoint(lhat, g), g[0])
+
+    def test_graphconv_operator_is_self_adjoint_over_a_pass(self):
+        rng = np.random.default_rng(36)
+        # blocks of different n, as graph_passes forms them for mixed volumes
+        blocks = [(SampleGraph(build_adjacency(band_spec(n))), b)
+                  for n, b in ((5, 2), (8, 1), (3, 3))]
+        rows = sum(graph.n_nodes * b for graph, b in blocks)
+        x = rng.normal(size=(rows, 4))
+        g = rng.normal(size=(rows, 4))
+        lhs = float(np.sum(per_graph(blocks, x, 0) * g))
+        rhs = float(np.sum(x * per_graph(blocks, g, 0)))
+        assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
 class TestChebApply:
