@@ -41,6 +41,7 @@ from .experiments import (
     run_ablation,
     run_robustness_experiment,
     score,
+    write_json,
 )
 from .gradients import run_gradcheck
 from .graph import GraphConfig, GraphSpec, WeightFn, build_edge_set, degree_vector
@@ -82,11 +83,19 @@ class Settings:
     q_full: bool  # q resolves to the largest volume's n_nodes - 1
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float; ValueError unless finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_config(path) -> dict:
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:  # a JSONDecodeError, or a number _finite rejects
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
@@ -158,10 +167,6 @@ def _parse_q(value):
         raise ConfigError(f"q must be a positive integer or 'full', got {value!r}")
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _resolved_config(settings: Settings) -> dict:
     return {**_config_dict(settings.task), **_config_dict(settings.train, _TRAIN_SKIP),
             "q": settings.graph.q, "weight_fn": settings.graph.weight_fn.value,
@@ -174,6 +179,13 @@ def _require_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _emit(args, name: str, payload, indent=None) -> None:
+    """Write `payload` as `name` under --out, if given; then print it."""
+    if getattr(args, "out", None):
+        write_json(_require_out(args) / name, payload)
+    print(json.dumps(payload, indent=indent, allow_nan=False))
 
 
 def _unlike(what, shape, source, source_shape) -> str:
@@ -218,9 +230,9 @@ def cmd_gen_data(args) -> int:
     train_set, val_set, test_set = generate_task(settings.task)
     for name, samples in (("train", train_set), ("val", val_set), ("test", test_set)):
         write_dataset(out / name, samples)
-    _write_json(out / "config.json", _config_dict(settings.task))
+    write_json(out / "config.json", _config_dict(settings.task))
     print(json.dumps({"out": str(out), "n_train": len(train_set),
-                      "n_val": len(val_set), "n_test": len(test_set)}))
+                      "n_val": len(val_set), "n_test": len(test_set)}, allow_nan=False))
     return 0
 
 
@@ -238,12 +250,12 @@ def cmd_train(args) -> int:
     thresholds, report = score(result.params, result.graphs, val_set, test_set,
                                include_micro=settings.micro)
 
-    _write_json(out / "config.json", _resolved_config(settings))
+    write_json(out / "config.json", _resolved_config(settings))
     payload = report.to_dict()
     payload["thresholds"] = [float(t) for t in thresholds]
-    _write_json(out / "metrics.json", payload)
+    write_json(out / "metrics.json", payload)
     print(json.dumps({"out": str(out), "final_loss": result.loss_curve[-1]["loss"],
-                      "macro": report.macro}))
+                      "macro": report.macro}, allow_nan=False))
     return 0
 
 
@@ -266,20 +278,16 @@ def cmd_eval(args) -> int:
     payload = report.to_dict()
     payload["thresholds"] = [float(t) for t in thresholds]
     payload["checkpoint"] = str(args.checkpoint)
-    if getattr(args, "out", None):
-        out = _require_out(args)
-        _write_json(out / "metrics.json", payload)
-    print(json.dumps(payload))
+    _emit(args, "metrics.json", payload)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     result = run_gradcheck(n_trials=args.trials, seed=args.seed or 0,
                            epsilon=args.epsilon)
-    print(json.dumps(result))
-    if getattr(args, "out", None):
-        out = _require_out(args)
-        _write_json(out / "gradcheck.json", result)
+    # strict JSON has no NaN or infinity: a non-finite error is written as null
+    report = json.loads(json.dumps(result), parse_constant=lambda _: None)
+    _emit(args, "gradcheck.json", report)
     return 0 if result["passed"] else 3
 
 
@@ -292,14 +300,22 @@ def cmd_robustness(args) -> int:
     summary = {variant: [point["macro_f1"] for point in block["curve"]]
                for variant, block in report["variants"].items()}
     summary["control"] = [point["macro_f1"] for point in report["control"]["curve"]]
-    print(json.dumps({"out": str(out), "shifts": report["shifts"], "macro_f1": summary}))
+    print(json.dumps({"out": str(out), "shifts": report["shifts"], "macro_f1": summary},
+                     allow_nan=False))
     return 0
+
+
+def _print_cell(cell: dict) -> None:
+    result = f"auroc {cell['mean']['auroc']:.4f}" if "mean" in cell else cell["error"]
+    print(f"ablate: {cell['variant']} q={cell['q']} {cell['weight_fn']}: {result} "
+          f"({cell['seconds']:.1f} s)", file=sys.stderr)
 
 
 def cmd_ablate(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
-    report = run_ablation(settings.task, settings.train, settings.grid, out_dir=out)
+    report = run_ablation(settings.task, settings.train, settings.grid, out_dir=out,
+                          progress=_print_cell)
     print(format_ablation_text(report))
     return 0
 
@@ -327,10 +343,7 @@ def cmd_inspect_graph(args) -> int:
         "lambda_max": graph.lhat.lambda_max_used,
         "scaled_spectrum": {"min": float(lhat_eigs[0]), "max": float(lhat_eigs[-1])},
     }
-    print(json.dumps(payload, indent=2))
-    if getattr(args, "out", None):
-        out = _require_out(args)
-        _write_json(out / "graph.json", payload)
+    _emit(args, "graph.json", payload, indent=2)
     return 0
 
 

@@ -49,6 +49,11 @@ def check_shift_mode(mode) -> None:
             f"shift mode must be {' or '.join(map(repr, SHIFT_MODES))}, got {mode!r}")
 
 
+def write_json(path, payload) -> None:
+    """`payload` as strict JSON: a NaN or an infinity raises ValueError."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
 def desk_task_config(seed: int = 0, **overrides) -> SynthTaskConfig:
     """The small synthetic task: 20 nodes, 16 features, 4 labels."""
     return replace(SynthTaskConfig(seed=seed), **overrides)
@@ -181,7 +186,7 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "robustness.json").write_text(json.dumps(out, indent=2) + "\n")
+        write_json(out_dir / "robustness.json", out)
     return out
 
 
@@ -295,10 +300,9 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "ablation.json").write_text(json.dumps(report, indent=2) + "\n")
+        write_json(out_dir / "ablation.json", report)
         (out_dir / "ablation.txt").write_text(format_ablation_text(report))
-        (out_dir / "ablation_timing.json").write_text(
-            json.dumps(timings, indent=2) + "\n")
+        write_json(out_dir / "ablation_timing.json", timings)
     return report
 
 

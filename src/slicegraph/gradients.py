@@ -197,8 +197,8 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
     there. Passing means every trial stays within GRADCHECK_TOL."""
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     rng = np.random.default_rng(seed)
     weight_fns = list(WeightFn)
     trials = []

@@ -64,9 +64,6 @@ class Variant(str, Enum):
     GRAPHCONV = "graphconv"
 
 
-_HEAD_TENSORS = 4  # w1, b1, w2, b2: always the last entries
-
-
 @dataclass(frozen=True)
 class ParamLayout:
     """The one table of parameter tensors.
@@ -74,33 +71,39 @@ class ParamLayout:
     `entries` lists (name, shape) in declaration order -- each conv layer
     in turn, then the head -- and so fixes where every tensor sits in the
     flat parameter vector. Init, forward/backward, AdamW, the checkpoint
-    and the gradcheck all take tensor order and shapes from here.
-    `cheb_k` is stored as 0 for the spatial variant, which has no filter.
+    and the gradcheck all take tensor order and shapes from here. The
+    fields are the checkpoint header's; `cheb_k` is 0 for graphconv.
     """
 
-    variant: Variant
-    d: int
     n_labels: int
-    n_layers: int
+    d: int
     cheb_k: int
-    hidden: int
+    n_layers: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "variant", Variant(self.variant))
-        if self.variant is Variant.GRAPHCONV:
-            object.__setattr__(self, "cheb_k", 0)
+    @property
+    def variant(self) -> Variant:
+        return Variant.CHEB if self.cheb_k else Variant.GRAPHCONV
+
+    @property
+    def hidden(self) -> int:
+        return max(1, self.d // 2)
+
+    @cached_property
+    def _parts(self) -> tuple[dict, dict]:
+        """Shape by name of one conv layer's tensors, and of the head's."""
+        d, hidden = self.d, self.hidden
+        if self.cheb_k:
+            layer = {"thetas": (self.cheb_k, d, d), "ff_weight": (d, d), "ff_bias": (d,)}
+        else:
+            layer = {"w_self": (d, d), "w_neigh": (d, d), "bias": (d,)}
+        head = {"w1": (d, hidden), "b1": (hidden,),
+                "w2": (hidden, self.n_labels), "b2": (self.n_labels,)}
+        return layer, head
 
     @cached_property
     def entries(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        d, hidden = self.d, self.hidden
-        if self.variant is Variant.CHEB:
-            layer = (("thetas", (self.cheb_k, d, d)), ("ff_weight", (d, d)),
-                     ("ff_bias", (d,)))
-        else:
-            layer = (("w_self", (d, d)), ("w_neigh", (d, d)), ("bias", (d,)))
-        head = (("w1", (d, hidden)), ("b1", (hidden,)),
-                ("w2", (hidden, self.n_labels)), ("b2", (self.n_labels,)))
-        return layer * self.n_layers + head
+        layer, head = self._parts
+        return tuple(layer.items()) * self.n_layers + tuple(head.items())
 
     @cached_property
     def _slices(self) -> tuple[tuple[slice, tuple[int, ...]], ...]:
@@ -109,16 +112,6 @@ class ParamLayout:
                                    initial=0))
         return tuple((slice(start, stop), shape) for start, stop, (_, shape)
                      in zip(offsets, offsets[1:], self.entries))
-
-    @cached_property
-    def _groups(self) -> tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]:
-        """Entry names of each conv layer, then of the head; every name
-        group is a consecutive run of entries."""
-        names = tuple(name for name, _ in self.entries)
-        n_conv = len(names) - _HEAD_TENSORS
-        width = n_conv // self.n_layers
-        return (tuple(names[i:i + width] for i in range(0, n_conv, width)),
-                names[n_conv:])
 
     @property
     def size(self) -> int:
@@ -132,9 +125,9 @@ class ParamLayout:
     def group(self, flat: np.ndarray) -> tuple[tuple[dict, ...], dict]:
         """Named views of `flat`: one dict per conv layer, then the head's."""
         views = iter(self.views(flat))
-        layer_names, head_names = self._groups
-        layers = tuple(dict(zip(names, views)) for names in layer_names)
-        return layers, dict(zip(head_names, views))
+        layer, head = self._parts
+        layers = tuple(dict(zip(layer, views)) for _ in range(self.n_layers))
+        return layers, dict(zip(head, views))
 
 
 class ModelParams:
@@ -213,16 +206,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def init_params(d: int, n_labels: int, variant: Variant = Variant.CHEB, *,
                 n_layers: int = DEFAULT_N_LAYERS, cheb_k: int = DEFAULT_CHEB_K,
-                head_hidden: int | None = None, seed: int = 0) -> ModelParams:
+                seed: int = 0) -> ModelParams:
     """Seeded init, drawn entry by entry in layout order: biases (the
     rank-1 entries) are zero, every other tensor is uniform(-s, s) with
     s = 1/sqrt(fan_in) and fan_in = shape[-2]."""
     if d < 1 or n_labels < 1 or n_layers < 1 or cheb_k < 1:
         raise ValueError("d, n_labels, n_layers and cheb_k must all be >= 1")
-    hidden = max(1, d // 2) if head_hidden is None else head_hidden
-    if hidden < 1:
-        raise ValueError(f"head_hidden must be >= 1, got {hidden}")
-    layout = ParamLayout(variant, d, n_labels, n_layers, cheb_k, hidden)
+    layout = ParamLayout(n_labels, d, cheb_k if Variant(variant) is Variant.CHEB else 0,
+                         n_layers)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, _INIT_STREAM))))
 
     flat = np.zeros(layout.size)

@@ -462,6 +462,10 @@ class TestEval:
         assert run_cli("eval", "--config", tiny_config, "--checkpoint", bad) == 4
 
 
+def _no_constant(name):
+    raise AssertionError(f"strict JSON has no {name}")
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, tmp_path, capsys):
         out = tmp_path / "gc"
@@ -479,13 +483,18 @@ class TestGradcheck:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["passed"] is False
 
-    def test_nan_error_fails(self, capsys):
-        # a step this large overflows every central difference to NaN
+    def test_nan_error_fails(self, tmp_path, capsys):
+        # a step this large overflows every central difference to NaN,
+        # which strict JSON writes as null
+        out = tmp_path / "gc"
         with np.errstate(all="ignore"):
-            assert run_cli("gradcheck", "--trials", 2, "--epsilon", 1e308) == 3
-        payload = json.loads(capsys.readouterr().out.strip())
-        assert payload["passed"] is False
-        assert np.isnan(payload["max_rel_error"])
+            assert run_cli("gradcheck", "--trials", 2, "--epsilon", 1e308,
+                           "--out", out) == 3
+        for text in (capsys.readouterr().out, (out / "gradcheck.json").read_text()):
+            payload = json.loads(text, parse_constant=_no_constant)
+            assert payload["passed"] is False
+            assert payload["max_rel_error"] is None
+            assert [trial["rel_error"] for trial in payload["trials"]] == [None, None]
 
 
 class TestRobustness:
@@ -561,7 +570,12 @@ class TestAblate:
         assert "+/-" in text
         timing = json.loads((out / "ablation_timing.json").read_text())
         assert len(timing) == 1 and "seconds" in timing[0]
-        assert capsys.readouterr().out.strip()
+        captured = capsys.readouterr()
+        assert captured.out.strip()
+        (line,) = captured.err.splitlines()
+        assert re.fullmatch(r"ablate: graphconv q=2 inverse-dm: auroc \d\.\d{4} \(\d+\.\d s\)",
+                            line)
+        assert f"{cell['mean']['auroc']:.4f}" in line
 
     def test_seeds_flag_overrides_config(self, tmp_path):
         cfg = dict(TINY)
@@ -652,6 +666,22 @@ class TestConfigHandling:
         path = tmp_path / "config.json"
         path.write_text("{nope")
         assert run_cli("gen-data", "--config", path, "--out", tmp_path / "d") == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"signal_scale": NaN}', '{"noise_std": Infinity}', '{"max_lr": 1e400}',
+        '{"weight_decay": 1e999}', '{"weight_decay": NaN}', '{"max_lr": -Infinity}',
+    ])
+    def test_non_finite_number_is_config_error_before_any_work(
+            self, tmp_path, monkeypatch, capsys, text):
+        trained = []
+        monkeypatch.setattr(slicegraph.cli, "train", lambda *a, **k: trained.append(a))
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config {path}: ")
+        assert not trained
+        assert not out.exists()
 
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -756,7 +786,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (("gradcheck", "--trials", 0), "n_trials must be >= 1, got 0"),
-        (("gradcheck", "--epsilon", 0), "epsilon must be positive, got 0.0"),
+        (("gradcheck", "--epsilon", 0), "epsilon must be positive and finite, got 0.0"),
+        (("gradcheck", "--epsilon", "inf"), "epsilon must be positive and finite, got inf"),
         (("robustness", "--shifts", "0,25"), "|shift| must be < 20, got 25"),
     ])
     def test_bad_input_is_config_error_before_any_work(self, tmp_path, monkeypatch, capsys,

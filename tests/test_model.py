@@ -48,7 +48,8 @@ def spec_of(n, q, weight_fn=WeightFn.CONSTANT, spacing_z=0.015):
 def one_layer(variant, d, cheb_k=1, **tensors):
     """Single-layer params with every entry zero except the hand-set
     tensors of the conv layer."""
-    layout = ParamLayout(variant, d, n_labels=1, n_layers=1, cheb_k=cheb_k, hidden=1)
+    layout = ParamLayout(n_labels=1, d=d, cheb_k=cheb_k if variant is Variant.CHEB else 0,
+                         n_layers=1)
     flat = np.zeros(layout.size)
     (layer,), _ = layout.group(flat)
     for name, value in tensors.items():
@@ -409,8 +410,9 @@ class TestBceLoss:
 
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
-    def test_round_trip_is_bit_exact(self, tmp_path, variant):
-        params = init_params(7, 3, variant, n_layers=2, seed=11)
+    @pytest.mark.parametrize("d", [7, 1])  # d=1: the head's width floors at 1
+    def test_round_trip_is_bit_exact(self, tmp_path, variant, d):
+        params = init_params(d, 3, variant, n_layers=2, seed=11)
         path = tmp_path / "model.ctgc"
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
@@ -437,6 +439,7 @@ class TestCheckpoint:
         with pytest.raises(BadMagicError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.code == "bad_magic"
+        assert str(path) in str(excinfo.value)
 
     def test_wrong_version_is_rejected(self, tmp_path):
         params = init_params(4, 2, Variant.CHEB, seed=5)
@@ -448,6 +451,7 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatchError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.code == "version_mismatch"
+        assert str(path) in str(excinfo.value)
 
     def test_truncated_payload_is_rejected(self, tmp_path):
         params = init_params(4, 2, Variant.CHEB, seed=5)
@@ -458,14 +462,29 @@ class TestCheckpoint:
         with pytest.raises(TruncatedPayloadError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.code == "truncated_payload"
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("raw, error", [
+        (b"CTG", BadMagicError),
+        (b"CTGC\x01\x00", TruncatedPayloadError),             # inside the version
+        (b"CTGC\x02\x00\x00\x00", VersionMismatchError),      # version read first
+        (b"CTGC\x01\x00\x00\x00\x02\x00", TruncatedPayloadError),  # inside the header
+    ])
+    def test_short_file_fails_on_the_first_field_it_cuts(self, tmp_path, raw, error):
+        path = tmp_path / "short.ctgc"
+        path.write_bytes(raw)
+        with pytest.raises(error) as excinfo:
+            load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
 
     def test_trailing_garbage_is_rejected(self, tmp_path):
         params = init_params(4, 2, Variant.CHEB, seed=5)
         path = tmp_path / "model.ctgc"
         save_checkpoint(path, params)
         path.write_bytes(path.read_bytes() + b"\x00\x01")
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TruncatedPayloadError) as excinfo:
             load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
 
     def test_magic_constant(self, tmp_path):
         params = init_params(4, 2, Variant.GRAPHCONV, seed=5)
@@ -489,23 +508,28 @@ class TestCheckpoint:
         self._write(theirs, (3, 6, 3, 3), params.layout.views(params.flat))
         assert ours.read_bytes() == theirs.read_bytes()
 
-    @pytest.mark.parametrize("index, bad_shape", [
-        (4, (16, 15)),    # layer 2 ff_weight
-        (3, (2, 16, 16)),  # layer 2 thetas with K=2 under a K=3 header
+    @pytest.mark.parametrize("index, bad_shape, name", [
+        (4, (16, 15), "ff_weight"),    # layer 2 ff_weight
+        (3, (2, 16, 16), "thetas"),    # layer 2 thetas with K=2 under a K=3 header
+        (9, (16, 16), "w1"),           # head w1 as (d, d), not (d, max(1, d // 2))
     ])
     def test_tensor_disagreeing_with_header_layout_is_rejected(
-            self, tmp_path, index, bad_shape):
+            self, tmp_path, index, bad_shape, name):
         params = init_params(16, 4, Variant.CHEB, seed=0)
         tensors = list(params.layout.views(params.flat))
         tensors[index] = np.zeros(bad_shape)
+        if name == "w1":  # b1 and w2 as wide as that w1
+            tensors[10:12] = [np.zeros(16), np.zeros((16, 4))]
         path = tmp_path / "bad.ctgc"
         self._write(path, (4, 16, 3, 3), tensors)
         with pytest.raises(TruncatedPayloadError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.code == "truncated_payload"
+        assert f"{path}: tensor {index} ({name})" in str(excinfo.value)
 
     def test_huge_layer_count_is_rejected_without_building_the_table(self, tmp_path):
         path = tmp_path / "huge.ctgc"
         self._write(path, (2, 4, 3, 2 ** 32 - 1), [])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TruncatedPayloadError) as excinfo:
             load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
