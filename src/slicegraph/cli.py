@@ -50,24 +50,38 @@ from .train import TrainConfig, train
 
 
 def _config_dict(cfg, skip=()) -> dict:
-    """A config dataclass as config-file keys, in field order; tuples
-    become lists."""
-    out = {}
-    for f in fields(cfg):
-        if f.name not in skip:
-            value = getattr(cfg, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    """A config dataclass as config-file keys, in field order."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
 
 
 _TRAIN_SKIP = ("seed",)  # one seed drives task and training
 _TASK_KEYS = {f.name for f in fields(SynthTaskConfig)} - {"seed"}
 _TRAIN_KEYS = set(_config_dict(TrainConfig(), _TRAIN_SKIP))
-_OTHER_KEYS = {
-    "seed", "q", "weight_fn", "variant", "shifts", "shift_mode",
-    "variants", "qs", "weight_fns", "n_seeds", "micro",
+
+
+def _list_of(kind):
+    test, what = kind
+    return (lambda value: type(value) is list and all(map(test, value)),
+            f"a list, each entry {what}")
+
+
+# The JSON value each config key takes: its test, and how a message names it.
+# A number must fit a float (NaN, Infinity and 1e400 do not), and a boolean is
+# never a number.
+_FLOAT = (lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max,
+          "a finite number")
+_INT = (lambda value: type(value) is int and _FLOAT[0](value), "an integer")
+_Q = (lambda value: value == "full" or _INT[0](value), 'an integer or "full"')
+_STR = (lambda value: type(value) is str, "a string")
+_KEY_TYPES = {
+    **{f.name: {"int": _INT, "float": _FLOAT, "tuple[int, ...]": _list_of(_INT)}[f.type]
+       for cfg in (SynthTaskConfig, TrainConfig) for f in fields(cfg)},
+    "q": _Q, "weight_fn": _STR, "variant": _STR, "shifts": _list_of(_INT),
+    "shift_mode": _STR, "micro": (lambda value: type(value) is bool, "true or false"),
+    "variants": _list_of(_STR), "qs": _list_of(_Q), "weight_fns": _list_of(_STR),
+    "n_seeds": _INT,
 }
-_ALL_KEYS = _TASK_KEYS | _TRAIN_KEYS | _OTHER_KEYS
+_ALL_KEYS = _KEY_TYPES.keys()
 
 
 @dataclass
@@ -83,23 +97,24 @@ class Settings:
     q_full: bool  # q resolves to the largest volume's n_nodes - 1
 
 
-def _finite(text: str) -> float:
-    """A JSON number or constant (NaN, Infinity) as a float; ValueError unless finite."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
-    return value
-
-
 def _load_config(path) -> dict:
-    text = Path(path).read_text()
+    """The config file's settings, each value checked against its key's
+    type; a JSON list becomes a tuple."""
     try:
-        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except ValueError as exc:  # a JSONDecodeError, or a number _finite rejects
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be a JSON object")
-    return raw
+    unknown = sorted(set(raw) - _ALL_KEYS)
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        accepts, what = _KEY_TYPES[key]
+        if not accepts(value):
+            raise ConfigError(f"config {path}: {key} must be {what}, got {value!r}")
+    return {key: tuple(value) if type(value) is list else value
+            for key, value in raw.items()}
 
 
 def _pick(args, name: str, raw: dict, default):
@@ -112,18 +127,12 @@ def _pick(args, name: str, raw: dict, default):
 
 def build_settings(args) -> Settings:
     raw = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(raw) - _ALL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    seed = _pick(args, "seed", raw, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     try:
-        seed = int(_pick(args, "seed", raw, 0))
-        task_kwargs = {k: raw[k] for k in _TASK_KEYS if k in raw}
-        for key in ("local_labels", "diffuse_labels"):
-            if key in task_kwargs:
-                task_kwargs[key] = tuple(task_kwargs[key])
-        task = desk_task_config(seed=seed, **task_kwargs)
-
+        task = desk_task_config(seed=seed, **{k: raw[k] for k in _TASK_KEYS if k in raw})
         train_cfg = desk_train_config(seed=seed,
                                       **{k: raw[k] for k in _TRAIN_KEYS if k in raw})
 
@@ -136,35 +145,30 @@ def build_settings(args) -> Settings:
         shifts = _pick(args, "shifts", raw, DEFAULT_SHIFTS)
         if isinstance(shifts, str):
             shifts = tuple(int(part) for part in shifts.split(",") if part.strip())
-        else:
-            shifts = tuple(int(s) for s in shifts)
         shift_mode = _pick(args, "mode", raw, raw.get("shift_mode", "pad"))
         check_shift_mode(shift_mode)
 
         grid = AblationGrid(
             variants=raw.get("variants", AblationGrid.variants),
-            qs=tuple(_parse_q(q) for q in raw.get("qs", AblationGrid.qs)),
+            qs=raw.get("qs", AblationGrid.qs),
             weight_fns=raw.get("weight_fns", AblationGrid.weight_fns),
-            n_seeds=int(_pick(args, "seeds", raw, raw.get("n_seeds", AblationGrid.n_seeds))),
+            n_seeds=_pick(args, "seeds", raw, raw.get("n_seeds", AblationGrid.n_seeds)),
         )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    micro = bool(getattr(args, "micro", False) or raw.get("micro", False))
+    micro = getattr(args, "micro", False) or raw.get("micro", False)
     return Settings(task=task, train=train_cfg, graph=graph, variant=variant,
                     shifts=shifts, shift_mode=shift_mode, grid=grid, micro=micro,
                     q_full=q_raw == "full")
 
 
 def _parse_q(value):
-    if value == "full":
-        return "full"
+    """A q flag's text, or a config q, as an int or "full"."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"q must be a positive integer or 'full', got {value!r}")
+        return value if value == "full" else int(value)
+    except ValueError:
+        raise ValueError(f"q must be a positive integer or 'full', got {value!r}") from None
 
 
 def _resolved_config(settings: Settings) -> dict:

@@ -62,8 +62,8 @@ class Sample:
             raise ValueError(f"a volume needs at least 2 nodes, got {self.features.shape[0]}")
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
-        if not self.spacing_z_mm > 0:
-            raise ValueError(f"spacing_z_mm must be positive, got {self.spacing_z_mm}")
+        if not 0 < self.spacing_z_mm < np.inf:
+            raise ValueError(f"spacing_z_mm must be positive and finite, got {self.spacing_z_mm}")
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
         if not ((self.labels == 0) | (self.labels == 1)).all():
@@ -102,8 +102,8 @@ class SynthTaskConfig:
             raise ValueError(f"label_rate must be in (0, 1), got {self.label_rate}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.spacing_z_mm > 0:
-            raise ValueError(f"spacing_z_mm must be positive, got {self.spacing_z_mm}")
+        if not 0 < self.spacing_z_mm < np.inf:
+            raise ValueError(f"spacing_z_mm must be positive and finite, got {self.spacing_z_mm}")
         declared = sorted(self.local_labels) + sorted(self.diffuse_labels)
         if sorted(declared) != list(range(self.n_labels)):
             raise ValueError(
@@ -215,8 +215,8 @@ def read_features(path) -> Sample:
     """Inverse of `write_features`; bit-exact round-trip for f32 features.
     `path` is a str or a Path. The magic, the version and the file size
     the header implies are checked first. Content that `Sample` rejects
-    (fewer than 2 nodes, a label byte other than 0/1, non-finite features,
-    spacing <= 0) raises BinaryFormatError. Every message names `path`."""
+    (fewer than 2 nodes, a label byte other than 0/1, non-finite features
+    or spacing, spacing <= 0) raises BinaryFormatError. Every message names `path`."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:

@@ -367,28 +367,23 @@ def _mean_std(mean: dict, std: dict, key: str) -> str:
 
 
 def format_ablation_text(report: dict) -> str:
-    """Plain-text tables with aligned columns."""
-    tables = report["tables"]
+    """Plain-text tables with aligned columns. Each table is its title, its
+    key in `report["tables"]`, its key columns as (row key, header), and
+    its metric columns."""
+    short = ("f1", "auroc", "accuracy")
     blocks = []
-
-    rows = [[r["connectivity"], r["variant"]] +
-            [_mean_std(r["mean"], r["std"], k) for k in ("f1", "auroc", "accuracy")]
-            for r in tables["connectivity_module"]]
-    blocks.append("connectivity x module (weight_fn=inverse-dm)\n" + _format_columns(
-        ["connectivity", "module", "f1", "auroc", "accuracy"], rows))
-
-    rows = [[r["q"]] +
-            [_mean_std(r["mean"], r["std"], k)
-             for k in ("f1", "recall", "precision", "auroc", "accuracy")]
-            for r in tables["neighbourhood_size"]]
-    blocks.append("neighbourhood size q (graphconv, weight_fn=inverse-dm)\n" + _format_columns(
-        ["q", "f1", "recall", "precision", "auroc", "accuracy"], rows))
-
-    rows = [[r["weight_fn"]] +
-            [_mean_std(r["mean"], r["std"], k) for k in ("f1", "auroc", "accuracy")]
-            for r in tables["weight_function"]]
-    blocks.append("edge weighting (graphconv, fully connected)\n" + _format_columns(
-        ["weight_fn", "f1", "auroc", "accuracy"], rows))
+    for title, table, key_columns, metrics in (
+            ("connectivity x module (weight_fn=inverse-dm)", "connectivity_module",
+             (("connectivity", "connectivity"), ("variant", "module")), short),
+            ("neighbourhood size q (graphconv, weight_fn=inverse-dm)", "neighbourhood_size",
+             (("q", "q"),), ("f1", "recall", "precision", "auroc", "accuracy")),
+            ("edge weighting (graphconv, fully connected)", "weight_function",
+             (("weight_fn", "weight_fn"),), short)):
+        rows = [[r[key] for key, _ in key_columns] +
+                [_mean_std(r["mean"], r["std"], k) for k in metrics]
+                for r in report["tables"][table]]
+        headers = [header for _, header in key_columns] + list(metrics)
+        blocks.append(f"{title}\n" + _format_columns(headers, rows))
 
     failed = [c for c in report["cells"] if "error" in c]
     if failed:

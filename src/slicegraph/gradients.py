@@ -1,11 +1,9 @@
-"""Exact reverse-mode gradients for the graph classifier.
+"""A batch's loss and its exact gradient, and the check of that gradient.
 
-The architecture is fixed, so the backward pass is written out by hand
-rather than through a tape, once per pass of samples: the weight
-gradients run over all of a pass's node rows, the graph operator's
-adjoint per graph.
-`finite_diff_grad` is the independent central-difference oracle used to
-validate it.
+`backward` runs `model.pass_forward` and `model.pass_backward` once per
+pass of samples and returns the mean loss and gradient. `finite_diff_grad`
+is the independent central-difference oracle that validates it, and
+`run_gradcheck` compares the two on random toy configurations.
 """
 
 from __future__ import annotations
@@ -18,20 +16,17 @@ from .model import (
     ModelParams,
     SampleGraph,
     Variant,
-    _block_slices,
+    bce_grad_logits,
     bce_loss,
     graph_passes,
     init_params,
     model_forward,
+    pass_backward,
     pass_forward,
-    per_graph,
     prepare_graph,
-    sigmoid,
 )
-from .spectral import cheb_basis_adjoint
 
 __all__ = [
-    "bce_grad_logits",
     "backward",
     "central_difference_grads",
     "finite_diff_grad",
@@ -56,64 +51,6 @@ def _kink_distance(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> fl
     return min(float(np.abs(pre).min()) for pre in [t[-1] for t in layers] + [head_pre])
 
 
-def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean BCE)/d(logits) = (sigmoid(x) - y) / n_labels, computed stably.
-
-    For y = 1 the difference is evaluated as -sigmoid(-x) so saturated
-    logits keep their tiny but nonzero gradient instead of rounding to 0.
-    """
-    x = np.asarray(logits, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    signed = np.where(y == 1.0, -sigmoid(-x), sigmoid(x))
-    return signed / x.size
-
-
-def _pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
-                   grad: np.ndarray) -> None:
-    """Add one pass's part of d(loss)/d(params.flat) into `grad`, from
-    what `pass_forward` saved and the loss gradient at its logits."""
-    layers, (pooled, head_pre, head_act) = saved
-    layer_grads, head_grad = params.layout.group(grad)
-
-    head = params.head
-    head_grad["w2"] += head_act.T @ d_logits
-    head_grad["b2"] += d_logits.sum(axis=0)
-    d_pre = (d_logits @ head["w2"].T) * (head_pre > 0)
-    head_grad["w1"] += pooled.T @ d_pre
-    head_grad["b1"] += d_pre.sum(axis=0)
-
-    # Sum pooling broadcasts each sample's pooled gradient back to its node rows.
-    dz = np.repeat(d_pre @ head["w1"].T,
-                   [graph.n_nodes for graph, b in blocks for _ in range(b)], axis=0)
-    d = params.layout.d
-
-    order = params.layout.cheb_k  # 0 for graphconv
-    for layer, layer_grad, (z_in, mid, pre) in zip(
-            reversed(params.layers), reversed(layer_grads), reversed(layers)):
-        d_pre_l = dz * (pre > 0)
-        if order:
-            basis, filtered = z_in, mid
-            layer_grad["ff_weight"] += filtered.T @ d_pre_l
-            layer_grad["ff_bias"] += d_pre_l.sum(axis=0)
-            d_filtered = d_pre_l @ layer["ff_weight"].T
-
-            layer_grad["thetas"] += (basis.T @ d_filtered).reshape(order, d, d)
-            # g[k] holds the gradient reaching T_k(lhat) Z; each graph's
-            # adjoint sums its rows of g into g[0], in place
-            g = d_filtered @ layer["thetas"].transpose(0, 2, 1)
-            for graph, b, rows in _block_slices(blocks):
-                cheb_basis_adjoint(graph.lhat, g[:, rows].reshape(order, b, graph.n_nodes, d))
-            dz = g[0]
-        else:
-            neigh = mid
-            layer_grad["w_self"] += z_in.T @ d_pre_l
-            layer_grad["w_neigh"] += neigh.T @ d_pre_l
-            layer_grad["bias"] += d_pre_l.sum(axis=0)
-            # adjacency is symmetric, so A^T collapses to A here
-            d_neigh = d_pre_l @ layer["w_neigh"].T
-            dz = d_pre_l @ layer["w_self"].T + per_graph(blocks, d_neigh, 0)
-
-
 def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
     """Mean loss and mean d(loss)/d(params.flat) over (graph, features,
     labels) triples: one forward and one backward pass per pass from
@@ -135,7 +72,7 @@ def backward(items, params: ModelParams) -> tuple[float, np.ndarray]:
     grad = np.zeros(params.layout.size)
     start = 0
     for (positions, blocks), (_, *saved) in zip(passes, forwards):
-        _pass_backward(blocks, saved, d_logits[start:start + len(positions)], params, grad)
+        pass_backward(blocks, saved, d_logits[start:start + len(positions)], params, grad)
         start += len(positions)
     return loss, grad
 
@@ -199,6 +136,8 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if not 0 < epsilon < np.inf:
         raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     weight_fns = list(WeightFn)
     trials = []

@@ -61,8 +61,8 @@ class GraphSpec:
             raise ValueError(f"need at least 2 nodes, got {self.n_nodes}")
         if self.q < 1:
             raise ValueError(f"neighbourhood size must be >= 1, got {self.q}")
-        if not self.spacing_z > 0:
-            raise ValueError(f"z spacing must be positive, got {self.spacing_z}")
+        if not 0 < self.spacing_z < np.inf:
+            raise ValueError(f"z spacing must be positive and finite, got {self.spacing_z}")
         object.__setattr__(self, "weight_fn", WeightFn(self.weight_fn))
 
     @classmethod

@@ -7,7 +7,8 @@ nodes, then a two-layer MLP head producing one logit per label. The
 forward pass takes the (R, d) node rows of a pass of samples, each
 graph's samples contiguous (`graph_passes` forms them): every weight
 product runs once over all R rows and only the graph operator runs per
-graph. A single sample is a pass of one.
+graph. `pass_backward` runs the same pass in reverse, by hand, from
+what the forward pass saved. A single sample is a pass of one.
 
 All parameters live in one contiguous f64 vector whose tensor order and
 shapes come from `ParamLayout`; `ModelParams` holds that vector, read-only,
@@ -28,6 +29,7 @@ from .graph import GraphConfig, GraphSpec, build_adjacency
 from .spectral import (
     ScaledLaplacian,
     cheb_basis,
+    cheb_basis_adjoint,
     scaled_laplacian_from_adjacency,
 )
 
@@ -46,6 +48,7 @@ __all__ = [
     "pass_forward",
     "model_forward",
     "bce_loss",
+    "bce_grad_logits",
 ]
 
 DEFAULT_N_LAYERS = 3
@@ -225,7 +228,7 @@ def init_params(d: int, n_labels: int, variant: Variant = Variant.CHEB, *,
 
 
 # ---------------------------------------------------------------------------
-# forward pass
+# forward and backward pass
 # ---------------------------------------------------------------------------
 
 def aggregate_sum(z: np.ndarray) -> np.ndarray:
@@ -293,7 +296,7 @@ def pass_forward(blocks, x: np.ndarray, params: ModelParams):
     (graph, b) in row order: b samples of that graph, each n_nodes rows.
 
     Returns (S, n_labels) logits, one row per sample in row order, and
-    what backward reuses: per conv layer the (R, ...) inputs of its
+    what `pass_backward` reuses: per conv layer the (R, ...) inputs of its
     matmuls and its pre-activation, and the head's (pooled, pre, act).
     """
     z = np.asarray(x, dtype=float)
@@ -327,6 +330,52 @@ def pass_forward(blocks, x: np.ndarray, params: ModelParams):
     return logits, layers, (pooled, head_pre, head_act)
 
 
+def pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
+                  grad: np.ndarray) -> None:
+    """Add one pass's part of d(loss)/d(params.flat) into `grad`, from
+    what `pass_forward` saved and the loss gradient at its logits."""
+    layers, (pooled, head_pre, head_act) = saved
+    layer_grads, head_grad = params.layout.group(grad)
+
+    head = params.head
+    head_grad["w2"] += head_act.T @ d_logits
+    head_grad["b2"] += d_logits.sum(axis=0)
+    d_pre = (d_logits @ head["w2"].T) * (head_pre > 0)
+    head_grad["w1"] += pooled.T @ d_pre
+    head_grad["b1"] += d_pre.sum(axis=0)
+
+    # Sum pooling broadcasts each sample's pooled gradient back to its node rows.
+    dz = np.repeat(d_pre @ head["w1"].T,
+                   [graph.n_nodes for graph, b in blocks for _ in range(b)], axis=0)
+    d = params.layout.d
+
+    order = params.layout.cheb_k  # 0 for graphconv
+    for layer, layer_grad, (z_in, mid, pre) in zip(
+            reversed(params.layers), reversed(layer_grads), reversed(layers)):
+        d_pre_l = dz * (pre > 0)
+        if order:
+            basis, filtered = z_in, mid
+            layer_grad["ff_weight"] += filtered.T @ d_pre_l
+            layer_grad["ff_bias"] += d_pre_l.sum(axis=0)
+            d_filtered = d_pre_l @ layer["ff_weight"].T
+
+            layer_grad["thetas"] += (basis.T @ d_filtered).reshape(order, d, d)
+            # g[k] holds the gradient reaching T_k(lhat) Z; each graph's
+            # adjoint sums its rows of g into g[0], in place
+            g = d_filtered @ layer["thetas"].transpose(0, 2, 1)
+            for graph, b, rows in _block_slices(blocks):
+                cheb_basis_adjoint(graph.lhat, g[:, rows].reshape(order, b, graph.n_nodes, d))
+            dz = g[0]
+        else:
+            neigh = mid
+            layer_grad["w_self"] += z_in.T @ d_pre_l
+            layer_grad["w_neigh"] += neigh.T @ d_pre_l
+            layer_grad["bias"] += d_pre_l.sum(axis=0)
+            # adjacency is symmetric, so A^T collapses to A here
+            d_neigh = d_pre_l @ layer["w_neigh"].T
+            dz = d_pre_l @ layer["w_self"].T + per_graph(blocks, d_neigh, 0)
+
+
 def model_forward(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> np.ndarray:
     """Logits (one per label) for one (n_nodes, d) sample: a pass of one."""
     return pass_forward([(graph, 1)], h, params)[0][0]
@@ -343,3 +392,15 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(f"logits shape {x.shape} != labels shape {y.shape}")
     per_label = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
     return float(per_label.mean())
+
+
+def bce_grad_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean BCE)/d(logits) = (sigmoid(x) - y) / n_labels, computed stably.
+
+    For y = 1 the difference is evaluated as -sigmoid(-x) so saturated
+    logits keep their tiny but nonzero gradient instead of rounding to 0.
+    """
+    x = np.asarray(logits, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    signed = np.where(y == 1.0, -sigmoid(-x), sigmoid(x))
+    return signed / x.size

@@ -251,6 +251,20 @@ class TestTrain:
         assert not (out / "train_log.ndjson").exists()
         assert not list(out.glob("*.ctgc"))
 
+    def test_infinite_spacing_is_io_error_naming_the_file(self, tmp_path, tiny_config,
+                                                          capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        bad = data / "train" / "00003.ctgf"
+        raw = bytearray(bad.read_bytes())
+        raw[20:28] = struct.pack("<d", np.inf)  # spacing_z_mm
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--out", out) == 4
+        assert str(bad) in capsys.readouterr().err
+        assert not (out / "train_log.ndjson").exists()
+
     @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
     def test_builds_a_laplacian_only_for_cheb(self, tmp_path, tiny_config, variant,
                                               lambda_max_calls):
@@ -618,6 +632,13 @@ class TestInspectGraph:
                        "--spacing-mm", 100000) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_infinite_spacing_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("inspect-graph", "--n-nodes", 5, "--q", 2, "--spacing-mm", "inf",
+                       "--out", out) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_paper_scale_band(self, capsys):
         assert run_cli("inspect-graph", "--n-nodes", 80, "--q", 16,
                        "--weight-fn", "inverse-dm") == 0
@@ -657,10 +678,12 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "d").exists()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))
         assert run_cli("gen-data", "--config", path, "--out", tmp_path / "d") == 2
+        assert capsys.readouterr().err == \
+            f"config error: config {path}: unknown keys: learning_rate\n"
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -682,6 +705,42 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(f"config error: config {path}: ")
         assert not trained
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [
+        ("max_lr", "1" + "0" * 400), ("n_train", "8.5"), ("n_nodes", "20.5"),
+        ("d", "16.0"), ("total_steps", "4.5"), ("batch_size", "2.5"), ("max_lr", "true"),
+        ("label_rate", "false"), ("micro", '"no"'), ("q", "2.5"), ("seed", "1.5"),
+        ("seed", "true"), ("shifts", "[0, 2.5]"), ("n_seeds", "2.7"),
+        ("local_labels", "[0.0]"), ("qs", '[4, "all"]'), ("variants", '["cheb", 1]'),
+        ("weight_fn", "NaN"), ("n_seeds", "1" + "0" * 400),
+    ], ids=lambda value: value[:12])
+    def test_value_of_the_wrong_type_is_config_error_before_any_work(
+            self, tmp_path, monkeypatch, capsys, key, text):
+        trained = []
+        monkeypatch.setattr(slicegraph.cli, "train", lambda *a, **k: trained.append(a))
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"{key}": {text}}}')
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config {path}: {key} must be ")
+        assert not trained
+        assert not out.exists()
+
+    def test_integer_in_a_float_setting_is_written_back_as_given(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "signal_scale": 2, "noise_std": 0.5}))
+        assert run_cli("gen-data", "--config", path, "--out", tmp_path / "d") == 0
+        written = (tmp_path / "d" / "config.json").read_text()
+        assert '"signal_scale": 2,' in written
+        assert '"noise_std": 0.5,' in written
+
+    def test_negative_config_seed_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "seed": -2}))
+        assert run_cli("train", "--config", path, "--out", tmp_path / "r") == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -2\n"
+        assert not (tmp_path / "r").exists()
 
     def test_non_object_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -789,6 +848,9 @@ class TestExitCodes:
         (("gradcheck", "--epsilon", 0), "epsilon must be positive and finite, got 0.0"),
         (("gradcheck", "--epsilon", "inf"), "epsilon must be positive and finite, got inf"),
         (("robustness", "--shifts", "0,25"), "|shift| must be < 20, got 25"),
+        (("train", "--seed", -1), "seed must be >= 0, got -1"),
+        (("gen-data", "--seed", -1), "seed must be >= 0, got -1"),
+        (("gradcheck", "--seed", -1), "seed must be >= 0, got -1"),
     ])
     def test_bad_input_is_config_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                         argv, message):

@@ -75,6 +75,11 @@ class TestSample:
             Sample(np.zeros((3, 2), dtype=np.float32),
                    np.array([1, 0], dtype=np.uint8), 0.0)
 
+    def test_rejects_infinite_spacing(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Sample(np.zeros((3, 2), dtype=np.float32),
+                   np.array([1, 0], dtype=np.uint8), np.inf)
+
 
 class TestSynthTaskConfig:
     def test_desk_defaults(self):
@@ -336,9 +341,10 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize("offset, value", [
         (20, struct.pack("<d", 0.0)),            # spacing_z_mm
+        (20, struct.pack("<d", np.inf)),
         (28 + 2, struct.pack("<f", np.nan)),     # first feature, past 2 label bytes
         (28 + 1, b"\xff"),                       # second label byte
-    ], ids=["zero_spacing", "nan_feature", "label_byte_255"])
+    ], ids=["zero_spacing", "inf_spacing", "nan_feature", "label_byte_255"])
     def test_content_that_sample_rejects_is_a_format_error(self, tmp_path, offset, value):
         s = random_sample(np.random.default_rng(0), n=3, d=2, n_labels=2)
         path = tmp_path / "s.ctgf"

@@ -1,6 +1,8 @@
 """Hand-written reverse-mode gradients against central finite differences."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +13,19 @@ from slicegraph.gradients import (
     GRADCHECK_TOL,
     _kink_distance,
     backward,
-    bce_grad_logits,
     central_difference_grads,
     finite_diff_grad,
     gradcheck_rel_error,
     run_gradcheck,
 )
 from slicegraph.graph import GraphSpec, WeightFn
+import slicegraph.gradients
 import slicegraph.model
 from slicegraph.model import (
     ModelParams,
+    ParamLayout,
     Variant,
+    bce_grad_logits,
     bce_loss,
     graph_passes,
     init_params,
@@ -319,3 +323,22 @@ class TestGradientSanity:
         params = ModelParams(layout, flat)
         _, grad = backward([(graph, np.ones((3, 2)), np.array([1]))], params)
         assert np.abs(grad).max() < 1e-200
+
+
+class TestOneModuleForTheNetwork:
+    def test_gradients_reaches_no_layer_internals(self):
+        # model.py alone holds the tensor names and each layer's forward and
+        # backward equations; gradients.py drives whole passes through it
+        tree = ast.parse(Path(slicegraph.gradients.__file__).read_text())
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert [node.module for node in imports if node.module == "spectral"] == []
+        from_model = [alias.name for node in imports if node.module == "model"
+                      for alias in node.names]
+        assert "pass_backward" in from_model
+        assert [name for name in from_model
+                if name == "per_graph" or name.startswith("_")] == []
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        tensor_names = {name for cheb_k in (0, 3)
+                        for name, _ in ParamLayout(2, 4, cheb_k, 1).entries}
+        assert strings & tensor_names == set()

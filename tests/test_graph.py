@@ -45,6 +45,9 @@ class TestGraphSpec:
             GraphSpec(n_nodes=4, q=1, spacing_z=0.0, weight_fn=WeightFn.CONSTANT)
         with pytest.raises(ValueError):
             GraphSpec(n_nodes=4, q=1, spacing_z=-0.01, weight_fn=WeightFn.CONSTANT)
+        # under inverse-dm an infinite spacing would make every edge weight 1.0
+        with pytest.raises(ValueError, match="positive and finite"):
+            GraphSpec(n_nodes=4, q=1, spacing_z=np.inf, weight_fn=WeightFn.INVERSE_DM)
 
     def test_from_spacing_mm_converts_units(self):
         spec = GraphSpec.from_spacing_mm(6, 2, 1.5, WeightFn.INVERSE_DM)
