@@ -10,10 +10,12 @@ One executable, seven subcommands:
     slicegraph ablate          variant x connectivity x weighting grid
     slicegraph inspect-graph   structural/spectral summary of one graph
 
-Settings come from defaults, then an optional JSON config file
-(--config), then explicit flags, in that order of precedence. Exit
-codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error. Any
-other failure is a bug: it exits 1 with a traceback.
+Every setting is one row of `_SETTINGS`: config key, flag and the commands
+that take it, type, run default, choices and ceiling. A value comes from
+the default, then an optional JSON config file (--config), then its flag,
+and is checked by its row wherever it comes from. Exit codes: 0 success,
+2 config error, 3 numeric failure, 4 I/O error. Any other failure is a
+bug: it exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .experiments import (
     DEFAULT_SHIFTS,
     SHIFT_MODES,
     AblationGrid,
-    check_shift_mode,
     desk_task_config,
     desk_train_config,
     format_ablation_text,
@@ -54,34 +55,104 @@ def _config_dict(cfg, skip=()) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in skip}
 
 
-_TRAIN_SKIP = ("seed",)  # one seed drives task and training
-_TASK_KEYS = {f.name for f in fields(SynthTaskConfig)} - {"seed"}
-_TRAIN_KEYS = set(_config_dict(TrainConfig(), _TRAIN_SKIP))
+@dataclass(frozen=True)
+class _Kind:
+    """The JSON values a setting takes: `accepts` tests one, `what` names
+    them, `parse` reads one from a flag's text, `choices` lists them."""
+
+    accepts: object
+    what: str
+    parse: object = str
+    choices: tuple = ()
 
 
-def _list_of(kind):
-    test, what = kind
-    return (lambda value: type(value) is list and all(map(test, value)),
-            f"a list, each entry {what}")
-
-
-# The JSON value each config key takes: its test, and how a message names it.
 # A number must fit a float (NaN, Infinity and 1e400 do not), and a boolean is
 # never a number.
-_FLOAT = (lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max,
-          "a finite number")
-_INT = (lambda value: type(value) is int and _FLOAT[0](value), "an integer")
-_Q = (lambda value: value == "full" or _INT[0](value), 'an integer or "full"')
-_STR = (lambda value: type(value) is str, "a string")
-_KEY_TYPES = {
-    **{f.name: {"int": _INT, "float": _FLOAT, "tuple[int, ...]": _list_of(_INT)}[f.type]
-       for cfg in (SynthTaskConfig, TrainConfig) for f in fields(cfg)},
-    "q": _Q, "weight_fn": _STR, "variant": _STR, "shifts": _list_of(_INT),
-    "shift_mode": _STR, "micro": (lambda value: type(value) is bool, "true or false"),
-    "variants": _list_of(_STR), "qs": _list_of(_Q), "weight_fns": _list_of(_STR),
-    "n_seeds": _INT,
-}
-_ALL_KEYS = _KEY_TYPES.keys()
+_FLOAT = _Kind(lambda value: type(value) in (int, float) and abs(value) <= sys.float_info.max,
+               "a finite number", float)
+_INT = _Kind(lambda value: type(value) is int and _FLOAT.accepts(value), "an integer", int)
+_Q = _Kind(lambda value: value == "full" or _INT.accepts(value), "an integer or 'full'",
+           lambda text: text if text == "full" else int(text))
+_BOOL = _Kind(lambda value: type(value) is bool, "true or false")
+_NUMBER = _Kind(lambda value: type(value) is float, "a number", float)  # the command bounds it
+
+
+def _one_of(values) -> _Kind:
+    choices = tuple(getattr(value, "value", value) for value in values)  # an Enum's values
+    return _Kind(choices.__contains__, " or ".join(map(repr, choices)), str, choices)
+
+
+def _list_of(kind, empty_ok=False) -> _Kind:
+    """A JSON list of `kind`, or a flag's comma-separated text."""
+    return _Kind(lambda value: type(value) is list and (empty_ok or value != [])
+                 and all(map(kind.accepts, value)),
+                 f"a {'' if empty_ok else 'non-empty '}list, each entry {kind.what}",
+                 lambda text: [kind.parse(part) for part in text.split(",") if part.strip()])
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One setting: its config key (None for a flag-only setting), its kind,
+    its run default (None: the task's or the training's own), its flag and
+    the commands that take it ("!" marks a required flag), and its ceiling."""
+
+    key: str | None
+    kind: _Kind
+    default: object = None
+    flag: str | None = None
+    commands: tuple = ()
+    most: int | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.key or self.flag[2:].replace("-", "_")
+
+    @property
+    def allows(self) -> str:
+        return self.kind.what + ("" if self.most is None else f" <= {self.most}")
+
+    def check(self, value, where: str):
+        """`value` as the run takes it, or ConfigError naming `where`."""
+        if not self.kind.accepts(value) or self.most is not None and value > self.most:
+            raise ConfigError(f"{where} must be {self.allows}, got {value!r}")
+        return tuple(value) if type(value) is list else value
+
+
+_SEEDED = ("gen-data", "train", "eval", "gradcheck", "robustness", "ablate")
+_GRAPH = ("train", "eval")
+_SETTINGS = {setting.dest: setting for setting in (
+    # the synthetic task; defaults in experiments.desk_task_config
+    _Setting("n_nodes", _INT, flag="--n-nodes", commands=("inspect-graph!",), most=4096),
+    _Setting("d", _INT, most=4096),
+    _Setting("n_labels", _INT),
+    *(_Setting(key, _INT, most=1_000_000) for key in ("n_train", "n_val", "n_test")),
+    *(_Setting(key, _list_of(_INT, empty_ok=True)) for key in ("local_labels", "diffuse_labels")),
+    *(_Setting(key, _FLOAT)
+      for key in ("label_rate", "signal_scale", "noise_std", "spacing_z_mm")),
+    _Setting("seed", _INT, 0, "--seed", _SEEDED),
+    # training; defaults in experiments.desk_train_config
+    *(_Setting(key, _INT) for key in ("batch_size", "warmup_steps", "log_every")),
+    _Setting("total_steps", _INT, most=10_000_000),
+    *(_Setting(key, _FLOAT) for key in ("max_lr", "weight_decay", "beta1", "beta2")),
+    # the graph and the model
+    _Setting("q", _Q, 4, "--q", (*_GRAPH, "inspect-graph!")),
+    _Setting("weight_fn", _one_of(WeightFn), "inverse-dm", "--weight-fn",
+             (*_GRAPH, "inspect-graph")),
+    _Setting("variant", _one_of(Variant), "cheb", "--variant", ("train",)),
+    _Setting("micro", _BOOL, False, "--micro", _GRAPH),
+    # the experiments
+    _Setting("shifts", _list_of(_INT), DEFAULT_SHIFTS, "--shifts", ("robustness",)),
+    _Setting("shift_mode", _one_of(SHIFT_MODES), "pad", "--mode", ("robustness",)),
+    _Setting("variants", _list_of(_one_of(Variant)), AblationGrid.variants),
+    _Setting("qs", _list_of(_Q), AblationGrid.qs),
+    _Setting("weight_fns", _list_of(_one_of(WeightFn)), AblationGrid.weight_fns),
+    _Setting("n_seeds", _INT, AblationGrid.n_seeds, "--seeds", ("ablate",), most=100),
+    # flags only
+    _Setting(None, _INT, 20, "--trials", ("gradcheck",), most=10_000),
+    _Setting(None, _NUMBER, 1e-5, "--epsilon", ("gradcheck",)),
+    _Setting(None, _NUMBER, 1.5, "--spacing-mm", ("inspect-graph",)),
+)}
+_ALL_KEYS = frozenset(setting.key for setting in _SETTINGS.values() if setting.key)
 
 
 @dataclass
@@ -97,84 +168,55 @@ class Settings:
     q_full: bool  # q resolves to the largest volume's n_nodes - 1
 
 
-def _load_config(path) -> dict:
-    """The config file's settings, each value checked against its key's
-    type; a JSON list becomes a tuple."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
-        raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: top level must be a JSON object")
-    unknown = sorted(set(raw) - _ALL_KEYS)
-    if unknown:
-        raise ConfigError(f"config {path}: unknown keys: {', '.join(unknown)}")
-    for key, value in raw.items():
-        accepts, what = _KEY_TYPES[key]
-        if not accepts(value):
-            raise ConfigError(f"config {path}: {key} must be {what}, got {value!r}")
-    return {key: tuple(value) if type(value) is list else value
-            for key, value in raw.items()}
+def _values(args) -> dict:
+    """Each setting's flag, else its config value, else its run default; one
+    left to the task's or training's own default is absent. Each is checked."""
+    path, values = getattr(args, "config", None), {}
+    if path:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except ValueError as exc:  # a JSONDecodeError, or text that is not UTF-8
+            raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path}: top level must be a JSON object")
+        unknown = sorted(set(raw) - _ALL_KEYS)
+        if unknown:
+            raise ConfigError(f"config {path}: unknown keys: {', '.join(unknown)}")
+        values = {key: _SETTINGS[key].check(value, f"config {path}: {key}")
+                  for key, value in raw.items()}
+    for setting in _SETTINGS.values():
+        flag = getattr(args, setting.dest, None)
+        if type(flag) is str:
+            try:
+                flag = setting.kind.parse(flag)
+            except ValueError:
+                pass  # the check names the text
+        if flag is not None:
+            values[setting.dest] = setting.check(flag, setting.flag)
+        elif setting.default is not None:
+            values.setdefault(setting.dest, setting.default)
+    return values
 
 
-def _pick(args, name: str, raw: dict, default):
-    """CLI flag beats config file beats default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    return raw.get(name, default)
+def _fields_in(cls, values) -> dict:
+    """The entries of `values` that name a field of the dataclass `cls`."""
+    return {f.name: values[f.name] for f in fields(cls) if f.name in values}
 
 
 def build_settings(args) -> Settings:
-    raw = _load_config(args.config) if getattr(args, "config", None) else {}
-    seed = _pick(args, "seed", raw, 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
+    values = _values(args)
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {values['seed']}")
     try:
-        task = desk_task_config(seed=seed, **{k: raw[k] for k in _TASK_KEYS if k in raw})
-        train_cfg = desk_train_config(seed=seed,
-                                      **{k: raw[k] for k in _TRAIN_KEYS if k in raw})
-
-        q_raw = _parse_q(_pick(args, "q", raw, 4))
-        q = resolve_q(q_raw, task.n_nodes)
-        weight_fn = WeightFn(_pick(args, "weight_fn", raw, WeightFn.INVERSE_DM))
-        graph = GraphConfig(q=q, weight_fn=weight_fn)
-        variant = Variant(_pick(args, "variant", raw, Variant.CHEB))
-
-        shifts = _pick(args, "shifts", raw, DEFAULT_SHIFTS)
-        if isinstance(shifts, str):
-            shifts = tuple(int(part) for part in shifts.split(",") if part.strip())
-        shift_mode = _pick(args, "mode", raw, raw.get("shift_mode", "pad"))
-        check_shift_mode(shift_mode)
-
-        grid = AblationGrid(
-            variants=raw.get("variants", AblationGrid.variants),
-            qs=raw.get("qs", AblationGrid.qs),
-            weight_fns=raw.get("weight_fns", AblationGrid.weight_fns),
-            n_seeds=_pick(args, "seeds", raw, raw.get("n_seeds", AblationGrid.n_seeds)),
-        )
+        task = desk_task_config(**_fields_in(SynthTaskConfig, values))
+        train_cfg = desk_train_config(**_fields_in(TrainConfig, values))
+        graph = GraphConfig(q=resolve_q(values["q"], task.n_nodes), weight_fn=values["weight_fn"])
+        grid = AblationGrid(**_fields_in(AblationGrid, values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    micro = getattr(args, "micro", False) or raw.get("micro", False)
-    return Settings(task=task, train=train_cfg, graph=graph, variant=variant,
-                    shifts=shifts, shift_mode=shift_mode, grid=grid, micro=micro,
-                    q_full=q_raw == "full")
-
-
-def _parse_q(value):
-    """A q flag's text, or a config q, as an int or "full"."""
-    try:
-        return value if value == "full" else int(value)
-    except ValueError:
-        raise ValueError(f"q must be a positive integer or 'full', got {value!r}") from None
-
-
-def _resolved_config(settings: Settings) -> dict:
-    return {**_config_dict(settings.task), **_config_dict(settings.train, _TRAIN_SKIP),
-            "q": settings.graph.q, "weight_fn": settings.graph.weight_fn.value,
-            "variant": settings.variant.value}
+    return Settings(task=task, train=train_cfg, graph=graph, variant=Variant(values["variant"]),
+                    shifts=values["shifts"], shift_mode=values["shift_mode"], grid=grid,
+                    micro=values["micro"], q_full=values["q"] == "full")
 
 
 def _require_out(args) -> Path:
@@ -219,10 +261,6 @@ def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
     return (settings, *splits)
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
 def cmd_gen_data(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
@@ -248,16 +286,16 @@ def cmd_train(args) -> int:
             settings, args.data, ("train", "val", "test"))
     else:
         train_set, val_set, test_set = generate_task(settings.task)
-
     result = train(train_set, val_set, settings.graph, settings.variant,
                    settings.train, out_dir=out)
     thresholds, report = score(result.params, result.graphs, val_set, test_set,
                                include_micro=settings.micro)
-
-    write_json(out / "config.json", _resolved_config(settings))
-    payload = report.to_dict()
-    payload["thresholds"] = [float(t) for t in thresholds]
-    write_json(out / "metrics.json", payload)
+    write_json(out / "config.json", {
+        **_config_dict(settings.task), **_config_dict(settings.train, ("seed",)),
+        "q": settings.graph.q, "weight_fn": settings.graph.weight_fn.value,
+        "variant": settings.variant.value})
+    write_json(out / "metrics.json",
+               {**report.to_dict(), "thresholds": [float(t) for t in thresholds]})
     print(json.dumps({"out": str(out), "final_loss": result.loss_curve[-1]["loss"],
                       "macro": report.macro}, allow_nan=False))
     return 0
@@ -276,19 +314,16 @@ def cmd_eval(args) -> int:
             raise ConfigError(_unlike("the task", (task.d, task.n_labels),
                                       args.checkpoint, shape))
         val_set, test_set = (generate_split(task, name) for name in ("val", "test"))
-
     thresholds, report = score(params, GraphOperatorCache(settings.graph), val_set, test_set,
                                include_micro=settings.micro)
-    payload = report.to_dict()
-    payload["thresholds"] = [float(t) for t in thresholds]
-    payload["checkpoint"] = str(args.checkpoint)
-    _emit(args, "metrics.json", payload)
+    _emit(args, "metrics.json", {**report.to_dict(), "thresholds": [float(t) for t in thresholds],
+                                 "checkpoint": str(args.checkpoint)})
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    result = run_gradcheck(n_trials=args.trials, seed=args.seed or 0,
-                           epsilon=args.epsilon)
+    values = _values(args)
+    result = run_gradcheck(values["trials"], values["seed"], values["epsilon"])
     # strict JSON has no NaN or infinity: a non-finite error is written as null
     report = json.loads(json.dumps(result), parse_constant=lambda _: None)
     _emit(args, "gradcheck.json", report)
@@ -325,11 +360,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_inspect_graph(args) -> int:
+    values = _values(args)
+    n_nodes, spacing_mm = values["n_nodes"], values["spacing_mm"]
     try:
-        q = resolve_q(_parse_q(args.q), args.n_nodes)
-        spec = GraphSpec.from_spacing_mm(args.n_nodes, q, args.spacing_mm,
-                                         WeightFn(args.weight_fn))
-    except (TypeError, ValueError) as exc:
+        spec = GraphSpec.from_spacing_mm(n_nodes, resolve_q(values["q"], n_nodes), spacing_mm,
+                                         values["weight_fn"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     graph = prepare_graph(spec)
     degrees = degree_vector(graph.adjacency)
@@ -339,7 +375,7 @@ def cmd_inspect_graph(args) -> int:
         "q": spec.q,
         "fully_connected": spec.is_fully_connected,
         "weight_fn": spec.weight_fn.value,
-        "spacing_z_mm": args.spacing_mm,
+        "spacing_z_mm": spacing_mm,
         "spacing_z_dm": spec.spacing_z,
         "n_edges": len(build_edge_set(spec)),
         "degree": {"min": float(degrees.min()), "max": float(degrees.max()),
@@ -351,74 +387,37 @@ def cmd_inspect_graph(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slicegraph",
-        description="Banded slice-sequence graphs, spectral filtering, and the "
-                    "synthetic multi-label benchmark harness.",
-    )
+    parser = argparse.ArgumentParser(prog="slicegraph", description=(
+        "Banded slice-sequence graphs, spectral filtering, and the "
+        "synthetic multi-label benchmark harness."))
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    commands = {}
+    for name, handler, text in (
+        ("gen-data", cmd_gen_data, "write a synthetic dataset as feature files"),
+        ("train", cmd_train, "train a model and evaluate it"),
+        ("eval", cmd_eval, "evaluate a checkpoint"),
+        ("gradcheck", cmd_gradcheck, "analytic vs numeric gradients"),
+        ("robustness", cmd_robustness, "F1 vs axial shift, both variants"),
+        ("ablate", cmd_ablate, "variant x connectivity x weighting grid"),
+        ("inspect-graph", cmd_inspect_graph, "structural/spectral graph summary"),
+    ):
+        sp = commands[name] = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
+        if name not in ("gradcheck", "inspect-graph"):
+            sp.add_argument("--config", help="JSON config file (flat key/value)")
+        sp.add_argument("--out", help="output directory")
+        if name in _GRAPH:
+            sp.add_argument("--data",
+                            help="dataset directory from gen-data (otherwise synthesise)")
+    commands["eval"].add_argument("--checkpoint", required=True)
 
-    def common(sp, out_help="output directory"):
-        sp.add_argument("--config", help="JSON config file (flat key/value)")
-        sp.add_argument("--seed", type=int, default=None, help="master seed")
-        sp.add_argument("--out", help=out_help)
-
-    sp = sub.add_parser("gen-data", help="write a synthetic dataset as feature files")
-    common(sp)
-    sp.set_defaults(handler=cmd_gen_data)
-
-    sp = sub.add_parser("train", help="train a model and evaluate it")
-    common(sp)
-    sp.add_argument("--variant", choices=[v.value for v in Variant], default=None)
-    sp.add_argument("--q", default=None, help="neighbourhood size, or 'full'")
-    sp.add_argument("--weight-fn", dest="weight_fn",
-                    choices=[w.value for w in WeightFn], default=None)
-    sp.add_argument("--data", help="dataset directory from gen-data (otherwise synthesise)")
-    sp.add_argument("--micro", action="store_true", help="also report micro averages")
-    sp.set_defaults(handler=cmd_train)
-
-    sp = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(sp)
-    sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--q", default=None, help="neighbourhood size, or 'full'")
-    sp.add_argument("--weight-fn", dest="weight_fn",
-                    choices=[w.value for w in WeightFn], default=None)
-    sp.add_argument("--data", help="dataset directory from gen-data (otherwise synthesise)")
-    sp.add_argument("--micro", action="store_true", help="also report micro averages")
-    sp.set_defaults(handler=cmd_eval)
-
-    sp = sub.add_parser("gradcheck", help="analytic vs numeric gradients")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--epsilon", type=float, default=1e-5)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_gradcheck)
-
-    sp = sub.add_parser("robustness", help="F1 vs axial shift, both variants")
-    common(sp)
-    sp.add_argument("--shifts", default=None, help="comma-separated, e.g. 0,2,4,8,16")
-    sp.add_argument("--mode", choices=SHIFT_MODES, default=None)
-    sp.set_defaults(handler=cmd_robustness)
-
-    sp = sub.add_parser("ablate", help="variant x connectivity x weighting grid")
-    common(sp)
-    sp.add_argument("--seeds", type=int, default=None, help="runs per cell")
-    sp.set_defaults(handler=cmd_ablate)
-
-    sp = sub.add_parser("inspect-graph", help="structural/spectral graph summary")
-    sp.add_argument("--n-nodes", dest="n_nodes", type=int, required=True)
-    sp.add_argument("--q", required=True, help="neighbourhood size, or 'full'")
-    sp.add_argument("--weight-fn", dest="weight_fn",
-                    choices=[w.value for w in WeightFn], default=WeightFn.INVERSE_DM.value)
-    sp.add_argument("--spacing-mm", dest="spacing_mm", type=float, default=1.5)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_inspect_graph)
-
+    for setting in _SETTINGS.values():
+        options = ({"action": "store_true"} if setting.kind is _BOOL else
+                   {"choices": setting.kind.choices or None, "help": setting.allows})
+        for name in setting.commands:
+            commands[name.rstrip("!")].add_argument(setting.flag, dest=setting.dest, default=None,
+                                                    required=name.endswith("!"), **options)
     return parser
 
 
@@ -427,8 +426,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already printed its message
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
     except ConfigError as exc:

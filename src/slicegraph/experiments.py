@@ -42,13 +42,6 @@ DEFAULT_SHIFTS = (0, 2, 4, 8, 16)
 SHIFT_MODES = ("pad", "wrap")
 
 
-def check_shift_mode(mode) -> None:
-    """ValueError unless `mode` is one of SHIFT_MODES."""
-    if mode not in SHIFT_MODES:
-        raise ValueError(
-            f"shift mode must be {' or '.join(map(repr, SHIFT_MODES))}, got {mode!r}")
-
-
 def write_json(path, payload) -> None:
     """`payload` as strict JSON: a NaN or an infinity raises ValueError."""
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
@@ -146,7 +139,9 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
     `mode` is one of SHIFT_MODES; it and every shift are checked before
     anything trains.
     """
-    check_shift_mode(mode)
+    if mode not in SHIFT_MODES:
+        raise ValueError(
+            f"shift mode must be {' or '.join(map(repr, SHIFT_MODES))}, got {mode!r}")
     n_nodes = task_cfg.n_nodes
     for shift in shifts:
         if abs(shift) >= n_nodes:

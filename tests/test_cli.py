@@ -1,6 +1,7 @@
 """The command-line interface: subcommands, config precedence, artifacts,
 and exit codes (0 ok, 2 config, 3 numeric, 4 I/O)."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -24,10 +25,12 @@ import slicegraph.spectral
 
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
-from slicegraph.data import Sample, read_dataset, write_dataset, write_features
-from slicegraph.experiments import desk_task_config, desk_train_config, run_robustness_experiment
+from slicegraph.data import Sample, SynthTaskConfig, read_dataset, write_dataset, write_features
+from slicegraph.experiments import (AblationGrid, desk_task_config, desk_train_config,
+                                    run_robustness_experiment)
 from slicegraph.graph import GraphConfig, WeightFn
 from slicegraph.model import Variant, init_params
+from slicegraph.train import TrainConfig
 
 TINY = {
     "n_nodes": 6, "d": 4, "n_labels": 2,
@@ -72,6 +75,25 @@ def write_mixed_volumes(base):
             Sample(rng.normal(size=(n, TINY["d"])).astype(np.float32),
                    np.array([i % 2, 1 - i % 2], dtype=np.uint8), spacing)
             for n, spacing in keys for i in range(3)])
+
+
+SETTINGS = tuple(slicegraph.cli._SETTINGS.values())
+CONFIG_COMMANDS = ("gen-data", "train", "eval", "robustness", "ablate")
+REQUIRED_FLAGS = {"inspect-graph": ("--q", 1)}
+
+
+def past_bound(setting):
+    """(value, flag text, what is allowed) one step past a setting's ceiling
+    or its non-empty rule; None for a setting with neither."""
+    if setting.most is not None:
+        return setting.most + 1, str(setting.most + 1), setting.kind.what + f" <= {setting.most}"
+    if setting.kind.what.startswith("a non-empty list"):
+        return [], "", setting.kind.what
+    return None
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the settings were checked")
 
 
 @pytest.fixture()
@@ -553,13 +575,15 @@ class TestRobustness:
         with pytest.raises(ValueError, match="mode") as excinfo:
             run_robustness_experiment(desk_task_config(n_nodes=6), GraphConfig(q=2),
                                       desk_train_config(), mode="zigzag")
-        # the config check in front of every command says the same
+        # the config check in front of every command allows the same modes,
+        # and names the file and the key
         config = tmp_path / "config.json"
         config.write_text(json.dumps({**TINY, "shift_mode": "zigzag"}))
         capsys.readouterr()
         assert run_cli("robustness", "--config", config, "--out", tmp_path / "rob") == 2
-        assert capsys.readouterr().err == f"config error: {excinfo.value}\n"
-        assert "'pad' or 'wrap'" in str(excinfo.value)
+        assert "'pad' or 'wrap', got 'zigzag'" in str(excinfo.value)
+        assert capsys.readouterr().err == (f"config error: config {config}: shift_mode must be "
+                                           "'pad' or 'wrap', got 'zigzag'\n")
         assert run_cli("robustness", "--mode", "zigzag") == 2
         assert not trained
 
@@ -668,7 +692,33 @@ class TestConfigHandling:
     def test_readme_lists_exactly_the_accepted_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("Accepted keys:", 1)[1].lstrip("\n").split("\n\n", 1)[0]
-        assert set(re.findall(r"`([a-z0-9_]+)`", section)) == slicegraph.cli._ALL_KEYS
+        keys = {setting.key for setting in SETTINGS if setting.key}
+        assert set(re.findall(r"`([a-z0-9_]+)`", section)) == keys
+        assert {f.name for cls in (SynthTaskConfig, TrainConfig, AblationGrid)
+                for f in dataclasses.fields(cls)} <= keys
+
+    @pytest.mark.parametrize("setting, command", [
+        pytest.param(setting, command and command.rstrip("!"),
+                     id=f"{setting.key or setting.flag}-{(command or 'config').rstrip('!')}")
+        for setting in SETTINGS if past_bound(setting)
+        for command in ((None,) if setting.key else ()) + setting.commands])
+    def test_first_value_past_a_bound_is_config_error_before_any_work(
+            self, tmp_path, monkeypatch, capsys, setting, command):
+        for work in ("generate_task", "run_ablation", "run_robustness_experiment",
+                     "run_gradcheck", "prepare_graph"):
+            monkeypatch.setattr(slicegraph.cli, work, _no_work)
+        value, text, allowed = past_bound(setting)
+        out = tmp_path / "out"
+        if command is None:  # the config key, in a command that reads it
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({setting.key: value}))
+            config_command = next((c for c in setting.commands if c in CONFIG_COMMANDS), "ablate")
+            argv, where = (config_command, "--config", path), f"config {path}: {setting.key}"
+        else:
+            argv, where = (command, setting.flag, text, *REQUIRED_FLAGS.get(command, ())), setting.flag
+        assert run_cli(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"config error: {where} must be {allowed}, got {value!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", [None, [1], "abc"])
     def test_unparseable_seed_is_config_error(self, tmp_path, capsys, seed):
