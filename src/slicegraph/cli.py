@@ -13,9 +13,10 @@ One executable, seven subcommands:
 Every setting is one row of `_SETTINGS`: config key, flag and the commands
 that take it, type, run default, choices and ceiling. A value comes from
 the default, then an optional JSON config file (--config), then its flag,
-and is checked by its row wherever it comes from. Exit codes: 0 success,
-2 config error, 3 numeric failure, 4 I/O error. Any other failure is a
-bug: it exits 1 with a traceback.
+and is checked by its row wherever it comes from. Each command writes its
+own files; the experiment drivers only return their reports. Exit codes:
+0 success, 2 config error, 3 numeric failure, 4 I/O error. Any other
+failure is a bug: it exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -35,19 +36,22 @@ from .experiments import (
     DEFAULT_SHIFTS,
     SHIFT_MODES,
     AblationGrid,
-    desk_task_config,
     desk_train_config,
     format_ablation_text,
     resolve_q,
     run_ablation,
     run_robustness_experiment,
     score,
-    write_json,
 )
 from .gradients import run_gradcheck
 from .graph import GraphConfig, GraphSpec, WeightFn, build_edge_set, degree_vector
 from .model import GraphOperatorCache, Variant, prepare_graph
 from .train import TrainConfig, train
+
+
+def write_json(path, payload) -> None:
+    """`payload` as strict JSON: a NaN or an infinity raises ValueError."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _config_dict(cfg, skip=()) -> dict:
@@ -74,7 +78,6 @@ _INT = _Kind(lambda value: type(value) is int and _FLOAT.accepts(value), "an int
 _Q = _Kind(lambda value: value == "full" or _INT.accepts(value), "an integer or 'full'",
            lambda text: text if text == "full" else int(text))
 _BOOL = _Kind(lambda value: type(value) is bool, "true or false")
-_NUMBER = _Kind(lambda value: type(value) is float, "a number", float)  # the command bounds it
 
 
 def _one_of(values) -> _Kind:
@@ -121,7 +124,7 @@ class _Setting:
 _SEEDED = ("gen-data", "train", "eval", "gradcheck", "robustness", "ablate")
 _GRAPH = ("train", "eval")
 _SETTINGS = {setting.dest: setting for setting in (
-    # the synthetic task; defaults in experiments.desk_task_config
+    # the synthetic task; defaults in data.SynthTaskConfig
     _Setting("n_nodes", _INT, flag="--n-nodes", commands=("inspect-graph!",), most=4096),
     _Setting("d", _INT, most=4096),
     _Setting("n_labels", _INT),
@@ -149,8 +152,8 @@ _SETTINGS = {setting.dest: setting for setting in (
     _Setting("n_seeds", _INT, AblationGrid.n_seeds, "--seeds", ("ablate",), most=100),
     # flags only
     _Setting(None, _INT, 20, "--trials", ("gradcheck",), most=10_000),
-    _Setting(None, _NUMBER, 1e-5, "--epsilon", ("gradcheck",)),
-    _Setting(None, _NUMBER, 1.5, "--spacing-mm", ("inspect-graph",)),
+    _Setting(None, _FLOAT, 1e-5, "--epsilon", ("gradcheck",)),
+    _Setting(None, _FLOAT, 1.5, "--spacing-mm", ("inspect-graph",)),
 )}
 _ALL_KEYS = frozenset(setting.key for setting in _SETTINGS.values() if setting.key)
 
@@ -208,7 +211,7 @@ def build_settings(args) -> Settings:
     if values["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {values['seed']}")
     try:
-        task = desk_task_config(**_fields_in(SynthTaskConfig, values))
+        task = SynthTaskConfig(**_fields_in(SynthTaskConfig, values))
         train_cfg = desk_train_config(**_fields_in(TrainConfig, values))
         graph = GraphConfig(q=resolve_q(values["q"], task.n_nodes), weight_fn=values["weight_fn"])
         grid = AblationGrid(**_fields_in(AblationGrid, values))
@@ -334,8 +337,8 @@ def cmd_robustness(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
     report = run_robustness_experiment(settings.task, settings.graph, settings.train,
-                                       shifts=settings.shifts, mode=settings.shift_mode,
-                                       out_dir=out)
+                                       shifts=settings.shifts, mode=settings.shift_mode)
+    write_json(out / "robustness.json", report)
     summary = {variant: [point["macro_f1"] for point in block["curve"]]
                for variant, block in report["variants"].items()}
     summary["control"] = [point["macro_f1"] for point in report["control"]["curve"]]
@@ -344,18 +347,24 @@ def cmd_robustness(args) -> int:
     return 0
 
 
-def _print_cell(cell: dict) -> None:
-    result = f"auroc {cell['mean']['auroc']:.4f}" if "mean" in cell else cell["error"]
-    print(f"ablate: {cell['variant']} q={cell['q']} {cell['weight_fn']}: {result} "
-          f"({cell['seconds']:.1f} s)", file=sys.stderr)
-
-
 def cmd_ablate(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
-    report = run_ablation(settings.task, settings.train, settings.grid, out_dir=out,
-                          progress=_print_cell)
-    print(format_ablation_text(report))
+    timings = []
+
+    def progress(cell: dict) -> None:
+        timings.append({key: cell[key] for key in ("variant", "q", "weight_fn", "seconds")})
+        result = f"auroc {cell['mean']['auroc']:.4f}" if "mean" in cell else cell["error"]
+        print(f"ablate: {cell['variant']} q={cell['q']} {cell['weight_fn']}: {result} "
+              f"({cell['seconds']:.1f} s)", file=sys.stderr)
+
+    report = run_ablation(settings.task, settings.train, settings.grid, progress=progress)
+    text = format_ablation_text(report)
+    write_json(out / "ablation.json", report)
+    (out / "ablation.txt").write_text(text)
+    # wall-clock time goes in a side file: repeat runs reproduce the report's bytes
+    write_json(out / "ablation_timing.json", timings)
+    print(text)
     return 0
 
 

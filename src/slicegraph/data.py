@@ -60,8 +60,12 @@ class Sample:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
         if self.features.shape[0] < 2:
             raise ValueError(f"a volume needs at least 2 nodes, got {self.features.shape[0]}")
+        if self.features.shape[1] < 1:
+            raise ValueError("a volume needs at least 1 feature column, got 0")
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
+        if self.labels.size < 1:
+            raise ValueError("a sample needs at least 1 label, got 0")
         if not 0 < self.spacing_z_mm < np.inf:
             raise ValueError(f"spacing_z_mm must be positive and finite, got {self.spacing_z_mm}")
         if not np.isfinite(self.features).all():
@@ -91,6 +95,8 @@ class SynthTaskConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if self.n_labels < 1:
+            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         if self.d < self.n_labels:
             raise ValueError(
                 f"d={self.d} too small: every one of the {self.n_labels} labels "
@@ -215,8 +221,9 @@ def read_features(path) -> Sample:
     """Inverse of `write_features`; bit-exact round-trip for f32 features.
     `path` is a str or a Path. The magic, the version and the file size
     the header implies are checked first. Content that `Sample` rejects
-    (fewer than 2 nodes, a label byte other than 0/1, non-finite features
-    or spacing, spacing <= 0) raises BinaryFormatError. Every message names `path`."""
+    (fewer than 2 nodes, no feature column, no label, a label byte other
+    than 0/1, non-finite features or spacing, spacing <= 0) raises
+    BinaryFormatError. Every message names `path`."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:

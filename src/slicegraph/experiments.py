@@ -1,17 +1,16 @@
-"""End-to-end experiment drivers: train/evaluate on the synthetic task,
-axial-shift robustness sweeps, and the variant/connectivity/weighting
-ablation grid.
+"""Experiment drivers: the desk-scale training recipe, scoring, the
+axial-shift robustness sweep, and the variant/connectivity/weighting
+ablation grid. Each returns its report; the CLI writes the files.
 
-Runs here default to "desk scale": a task and schedule small enough to
-train in seconds on a laptop while keeping the full pipeline intact.
+"Desk scale" is a task and schedule small enough to train in seconds on
+a laptop while keeping the full pipeline intact: `SynthTaskConfig`'s
+defaults and `desk_train_config`.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -20,14 +19,12 @@ from .errors import ConfigError
 from .graph import GraphConfig, WeightFn
 from .metrics import MetricsReport, PredictionSet, evaluate, select_thresholds
 from .model import GraphOperatorCache, ModelParams, Variant, graph_passes, pass_forward, sigmoid
-from .train import TrainConfig, TrainResult, train
+from .train import TrainConfig, train
 
 __all__ = [
-    "desk_task_config",
     "desk_train_config",
     "predict",
     "score",
-    "train_and_evaluate",
     "run_robustness_experiment",
     "AblationGrid",
     "run_ablation",
@@ -40,16 +37,6 @@ DEFAULT_SHIFTS = (0, 2, 4, 8, 16)
 
 # How `run_robustness_experiment` fills the rows a shift vacates.
 SHIFT_MODES = ("pad", "wrap")
-
-
-def write_json(path, payload) -> None:
-    """`payload` as strict JSON: a NaN or an infinity raises ValueError."""
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
-def desk_task_config(seed: int = 0, **overrides) -> SynthTaskConfig:
-    """The small synthetic task: 20 nodes, 16 features, 4 labels."""
-    return replace(SynthTaskConfig(seed=seed), **overrides)
 
 
 def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
@@ -98,16 +85,6 @@ def score(params: ModelParams, graphs: GraphOperatorCache, val_set: list[Sample]
     return thresholds, report
 
 
-def train_and_evaluate(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
-                       variant: Variant, train_cfg: TrainConfig, *, out_dir=None,
-                       ) -> tuple[TrainResult, np.ndarray, MetricsReport]:
-    """Generate the task, train, pick thresholds on val, report on test."""
-    train_set, val_set, test_set = generate_task(task_cfg)
-    result = train(train_set, val_set, graph_cfg, variant, train_cfg, out_dir=out_dir)
-    thresholds, report = score(result.params, result.graphs, val_set, test_set)
-    return result, thresholds, report
-
-
 def _robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
                       samples: list[Sample], thresholds, shifts, *, wrap: bool) -> list[dict]:
     """F1 at each axial shift of the evaluation samples, at fixed
@@ -127,7 +104,7 @@ def _robustness_sweep(params: ModelParams, graphs: GraphOperatorCache,
 
 def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
                               train_cfg: TrainConfig, *, shifts=DEFAULT_SHIFTS,
-                              mode: str = "pad", out_dir=None) -> dict:
+                              mode: str = "pad") -> dict:
     """Train both variants, sweep shifts, and add an invariance control.
 
     The control re-evaluates the spectral model under a fully connected
@@ -177,11 +154,6 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
         "curve": _robustness_sweep(control_params, control_graphs, test_set,
                                    control_thresholds, shifts, wrap=True),
     }
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "robustness.json", out)
     return out
 
 
@@ -234,17 +206,17 @@ def _summarise(runs: list[dict]) -> tuple[dict, dict]:
 
 
 def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
-                 grid: AblationGrid = AblationGrid(), *, out_dir=None,
-                 progress=None) -> dict:
+                 grid: AblationGrid = AblationGrid(), *, progress=None) -> dict:
     """Train every grid cell `n_seeds` times and tabulate mean +/- std.
 
     All cells share one dataset (fixed by `task_cfg.seed`); only the
     training seed varies within a cell. A cell that raises is recorded
-    with its error and the grid moves on.
+    with its error and the grid moves on. Each finished cell goes to
+    `progress`, with its wall-clock `seconds`, which the report leaves
+    out so that repeat runs match byte for byte.
     """
     train_set, val_set, test_set = generate_task(task_cfg)
     cells = []
-    timings = []
     for variant in grid.variants:
         for q in grid.qs:
             q_resolved = resolve_q(q, task_cfg.n_nodes)
@@ -268,19 +240,11 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
                     cell["mean"], cell["std"] = _summarise(runs)
                 except Exception as exc:  # keep the grid going
                     cell["error"] = f"{type(exc).__name__}: {exc}"
-                # wall-clock goes in a side list so the report itself stays a
-                # pure function of the configuration (repeat runs must match
-                # byte for byte)
-                timings.append({
-                    "variant": variant.value, "q": q_resolved,
-                    "weight_fn": weight_fn.value,
-                    "seconds": round(time.perf_counter() - started, 3),
-                })
                 cells.append(cell)
                 if progress is not None:
-                    progress({**cell, "seconds": timings[-1]["seconds"]})
+                    progress({**cell, "seconds": round(time.perf_counter() - started, 3)})
 
-    report = {
+    return {
         "task": {"n_nodes": task_cfg.n_nodes, "d": task_cfg.d,
                  "n_labels": task_cfg.n_labels, "seed": task_cfg.seed},
         "train": {"total_steps": train_cfg.total_steps, "batch_size": train_cfg.batch_size,
@@ -292,13 +256,6 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
         "cells": cells,
         "tables": _build_tables(cells, task_cfg.n_nodes),
     }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "ablation.json", report)
-        (out_dir / "ablation.txt").write_text(format_ablation_text(report))
-        write_json(out_dir / "ablation_timing.json", timings)
-    return report
 
 
 def _find_cell(cells, variant: str, q: int, weight_fn: str) -> dict | None:

@@ -155,14 +155,12 @@ class ModelParams:
 
 class SampleGraph:
     """One sample's graph: its adjacency, which graphconv applies, and the
-    scaled Laplacian, which cheb applies. Unless given, the Laplacian is
-    built from the adjacency on first use, so graphconv never pays for it."""
+    scaled Laplacian, which cheb applies. The Laplacian is built from the
+    adjacency on first use, so graphconv never pays for it."""
 
-    def __init__(self, adjacency: np.ndarray, lhat: ScaledLaplacian | None = None) -> None:
+    def __init__(self, adjacency: np.ndarray) -> None:
         self.adjacency = adjacency
         self.n_nodes = adjacency.shape[0]
-        if lhat is not None:
-            self.lhat = lhat
 
     @cached_property
     def lhat(self) -> ScaledLaplacian:

@@ -136,14 +136,17 @@ def _check_thetas(thetas, d_in: int) -> np.ndarray:
 
 
 def cheb_apply(lhat: ScaledLaplacian, x: np.ndarray, thetas) -> np.ndarray:
-    """Chebyshev filter ``sum_k T_k(lhat) X theta_k``. No nonlinearity here."""
+    """Chebyshev filter ``sum_k T_k(lhat) X theta_k`` as the model's layers run
+    it: the (n, K·d_in) side-by-side basis [T_0 X, ..., T_{K-1} X] times the
+    (K·d_in, d_out) stacked thetas. No nonlinearity here."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
     thetas = _check_thetas(thetas, x.shape[1])
-    # the (n, K·d_in) @ (K·d_in, d_out) product over the side-by-side basis
-    # that the model's layers run
-    return np.tensordot(cheb_basis(lhat, x, len(thetas)), thetas, axes=([0, 2], [0, 1]))
+    # C-ordered, as the model's basis is: at d_in = 1 the reshape of the
+    # transpose alone is an F-ordered view, which BLAS rounds differently
+    basis = np.ascontiguousarray(cheb_basis(lhat, x, len(thetas)).transpose(1, 0, 2))
+    return basis.reshape(len(x), -1) @ thetas.reshape(-1, thetas.shape[2])
 
 
 def spectral_filter_oracle(lap: np.ndarray, x: np.ndarray, thetas) -> np.ndarray:

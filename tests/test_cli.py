@@ -26,8 +26,7 @@ import slicegraph.spectral
 from slicegraph.checkpoint import load_checkpoint
 from slicegraph.cli import build_settings, main
 from slicegraph.data import Sample, SynthTaskConfig, read_dataset, write_dataset, write_features
-from slicegraph.experiments import (AblationGrid, desk_task_config, desk_train_config,
-                                    run_robustness_experiment)
+from slicegraph.experiments import AblationGrid, desk_train_config, run_robustness_experiment
 from slicegraph.graph import GraphConfig, WeightFn
 from slicegraph.model import Variant, init_params
 from slicegraph.train import TrainConfig
@@ -176,6 +175,17 @@ class TestGenData:
     def test_missing_out_is_config_error(self, tiny_config):
         assert run_cli("gen-data", "--config", tiny_config) == 2
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_task_without_labels_is_config_error_before_any_work(self, tmp_path, capsys,
+                                                                 command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "n_labels": 0, "local_labels": [],
+                                    "diffuse_labels": []}))
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", path, "--out", out) == 2
+        assert capsys.readouterr().err == "config error: n_labels must be >= 1, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kept", ["train", "val", "test"])
     def test_directory_holding_data_is_io_error_before_writing(
             self, tmp_path, tiny_config, capsys, kept):
@@ -272,6 +282,21 @@ class TestTrain:
                        "--out", out) == 4
         assert not (out / "train_log.ndjson").exists()
         assert not list(out.glob("*.ctgc"))
+
+    @pytest.mark.parametrize("d, n_labels", [(0, 2), (4, 0)])
+    def test_volume_without_columns_or_labels_is_io_error_before_training(
+            self, tmp_path, capsys, d, n_labels):
+        # every split agrees on the shape, so only the file check can catch it
+        data, out = tmp_path / "data", tmp_path / "run"
+        header = struct.pack("<4sIIIId", b"CTGF", 1, 6, d, n_labels, 1.5)
+        for split in ("train", "val", "test"):
+            (data / split).mkdir(parents=True)
+            for i in range(3):
+                (data / split / f"{i:05d}.ctgf").write_bytes(
+                    header + b"\x00" * (n_labels + 4 * 6 * d))
+        assert run_cli("train", "--data", data, "--out", out) == 4
+        assert str(data / "train" / "00000.ctgf") in capsys.readouterr().err
+        assert not (out / "train_log.ndjson").exists()
 
     def test_infinite_spacing_is_io_error_naming_the_file(self, tmp_path, tiny_config,
                                                           capsys):
@@ -573,7 +598,7 @@ class TestRobustness:
         monkeypatch.setattr(slicegraph.experiments, "train",
                             lambda *a, **k: trained.append(a))
         with pytest.raises(ValueError, match="mode") as excinfo:
-            run_robustness_experiment(desk_task_config(n_nodes=6), GraphConfig(q=2),
+            run_robustness_experiment(SynthTaskConfig(n_nodes=6), GraphConfig(q=2),
                                       desk_train_config(), mode="zigzag")
         # the config check in front of every command allows the same modes,
         # and names the file and the key
@@ -607,7 +632,7 @@ class TestAblate:
         text = (out / "ablation.txt").read_text()
         assert "+/-" in text
         timing = json.loads((out / "ablation_timing.json").read_text())
-        assert len(timing) == 1 and "seconds" in timing[0]
+        assert [list(entry) for entry in timing] == [["variant", "q", "weight_fn", "seconds"]]
         captured = capsys.readouterr()
         assert captured.out.strip()
         (line,) = captured.err.splitlines()
@@ -660,7 +685,7 @@ class TestInspectGraph:
         out = tmp_path / "g"
         assert run_cli("inspect-graph", "--n-nodes", 5, "--q", 2, "--spacing-mm", "inf",
                        "--out", out) == 2
-        assert "positive and finite" in capsys.readouterr().err
+        assert "--spacing-mm must be a finite number, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_paper_scale_band(self, capsys):
@@ -896,7 +921,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (("gradcheck", "--trials", 0), "n_trials must be >= 1, got 0"),
         (("gradcheck", "--epsilon", 0), "epsilon must be positive and finite, got 0.0"),
-        (("gradcheck", "--epsilon", "inf"), "epsilon must be positive and finite, got inf"),
+        (("gradcheck", "--epsilon", "inf"), "--epsilon must be a finite number, got inf"),
         (("robustness", "--shifts", "0,25"), "|shift| must be < 20, got 25"),
         (("train", "--seed", -1), "seed must be >= 0, got -1"),
         (("gen-data", "--seed", -1), "seed must be >= 0, got -1"),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from slicegraph.errors import DegenerateSpectrumError
 from slicegraph.graph import GraphSpec, WeightFn, _gap_weight, build_adjacency
-from slicegraph.model import SampleGraph, per_graph
+from slicegraph.model import (SampleGraph, Variant, init_params, pass_forward, per_graph,
+                              prepare_graph)
 from slicegraph.spectral import (
     ScaledLaplacian,
     cheb_apply,
@@ -242,6 +243,19 @@ class TestAdjoints:
 
 
 class TestChebApply:
+    @pytest.mark.parametrize("draw", range(10))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_the_first_layers_filter_bit_for_bit(self, d, draw):
+        # criterion 1 holds cheb_apply to the oracle, so it must be the
+        # product the model's layers run, rounding included
+        rng = np.random.default_rng((38, d, draw))
+        graph = prepare_graph(random_spec(rng))
+        params = init_params(d, 2, Variant.CHEB, cheb_k=int(rng.integers(1, 5)), seed=draw)
+        x = rng.normal(size=(graph.n_nodes, d))
+        filtered = pass_forward([(graph, 1)], x, params)[1][0][1]
+        np.testing.assert_array_equal(
+            cheb_apply(graph.lhat, x, params.layers[0]["thetas"]), filtered)
+
     def test_order_one_identity_filter(self):
         lhat = scaled_laplacian_from_adjacency(build_adjacency(const_spec(4, 2)))
         x = np.arange(8.0).reshape(4, 2)
