@@ -14,7 +14,8 @@ Every setting is one row of `_SETTINGS`: config key, flag and the commands
 that take it, type, run default, choices and ceiling. A value comes from
 the default, then an optional JSON config file (--config), then its flag,
 and is checked by its row wherever it comes from. Each command writes its
-own files; the experiment drivers only return their reports. Exit codes:
+own files, train and eval after deleting those of an earlier run from
+--out; the experiment drivers only return their reports. Exit codes:
 0 success, 2 config error, 3 numeric failure, 4 I/O error. Any other
 failure is a bug: it exits 1 with a traceback.
 """
@@ -44,7 +45,7 @@ from .experiments import (
     score,
 )
 from .gradients import run_gradcheck
-from .graph import GraphConfig, GraphSpec, WeightFn, build_edge_set, degree_vector
+from .graph import GraphConfig, GraphSpec, WeightFn
 from .model import GraphOperatorCache, Variant, prepare_graph
 from .train import TrainConfig, train
 
@@ -230,6 +231,13 @@ def _require_out(args) -> Path:
     return out
 
 
+def _remove_outputs(out: Path, *patterns) -> None:
+    """Delete a command's own files from `out` before it runs, so that a run
+    that fails leaves no earlier run's files standing as its own."""
+    for path in [path for pattern in patterns for path in out.glob(pattern)]:
+        path.unlink()
+
+
 def _emit(args, name: str, payload, indent=None) -> None:
     """Write `payload` as `name` under --out, if given; then print it."""
     if getattr(args, "out", None):
@@ -284,6 +292,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     settings = build_settings(args)
     out = _require_out(args)
+    _remove_outputs(out, "checkpoint*.ctgc", "train_log.ndjson", "config.json", "metrics.json")
     if getattr(args, "data", None):
         settings, train_set, val_set, test_set = _load_splits(
             settings, args.data, ("train", "val", "test"))
@@ -306,6 +315,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     settings = build_settings(args)
+    if args.out:
+        _remove_outputs(Path(args.out), "metrics.json")
     params = load_checkpoint(args.checkpoint)
     shape = (params.layout.d, params.layout.n_labels)
     if getattr(args, "data", None):
@@ -377,7 +388,7 @@ def cmd_inspect_graph(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     graph = prepare_graph(spec)
-    degrees = degree_vector(graph.adjacency)
+    degrees = graph.adjacency.sum(axis=1)
     lhat_eigs = np.linalg.eigvalsh(graph.lhat.values)
     payload = {
         "n_nodes": spec.n_nodes,
@@ -386,7 +397,7 @@ def cmd_inspect_graph(args) -> int:
         "weight_fn": spec.weight_fn.value,
         "spacing_z_mm": spacing_mm,
         "spacing_z_dm": spec.spacing_z,
-        "n_edges": len(build_edge_set(spec)),
+        "n_edges": spec.n_edges,
         "degree": {"min": float(degrees.min()), "max": float(degrees.max()),
                    "mean": float(degrees.mean())},
         "lambda_max": graph.lhat.lambda_max_used,

@@ -19,10 +19,8 @@ __all__ = [
     "GraphConfig",
     "MM_PER_DM",
     "SLICES_PER_NODE",
-    "build_edge_set",
     "edge_weight",
     "build_adjacency",
-    "degree_vector",
 ]
 
 # Scanner metadata reports z spacing in millimetres; the weight formulas
@@ -74,6 +72,20 @@ class GraphSpec:
     def is_fully_connected(self) -> bool:
         return self.q >= self.n_nodes - 1
 
+    @property
+    def n_edges(self) -> int:
+        """n_nodes - g node pairs at each gap g from 1 to min(q, n_nodes - 1)."""
+        band = min(self.q, self.n_nodes - 1)
+        return band * self.n_nodes - band * (band + 1) // 2
+
+    @property
+    def gap_weights(self) -> np.ndarray:
+        """w: w[g] weighs every edge between nodes g apart; 0 at g = 0 and past q."""
+        w = np.zeros(self.n_nodes)
+        gaps = np.arange(1, min(self.q, self.n_nodes - 1) + 1)
+        w[gaps] = _gap_weight(gaps, self.spacing_z, self.weight_fn)
+        return w
+
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -89,16 +101,6 @@ class GraphConfig:
 
     def spec_for(self, n_nodes: int, spacing_mm: float) -> GraphSpec:
         return GraphSpec.from_spacing_mm(n_nodes, self.q, spacing_mm, self.weight_fn)
-
-
-def build_edge_set(spec: GraphSpec) -> frozenset[tuple[int, int]]:
-    """Unordered index pairs (i, j), i < j, with j - i <= q. No self-loops."""
-    n, q = spec.n_nodes, spec.q
-    return frozenset(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, min(i + q, n - 1) + 1)
-    )
 
 
 def _gap_weight(gap, spacing_z: float, weight_fn: WeightFn):
@@ -121,24 +123,20 @@ def edge_weight(i: int, j: int, spec: GraphSpec) -> float:
     return float(_gap_weight(abs(i - j), spec.spacing_z, spec.weight_fn))
 
 
-def build_adjacency(spec: GraphSpec) -> np.ndarray:
-    """Dense symmetric weighted adjacency with a zero diagonal.
-
-    Entry (i, j) depends only on the gap |i - j|, so the matrix is filled
-    in one pass from one gap-weight vector w: w[0] = 0, w[g] is the weight
-    of gap g up to q, and 0 past it. The result is a copy of a Toeplitz
-    view of [w[n-1], ..., w[1], w[0], w[1], ..., w[n-1]].
-    """
-    n = spec.n_nodes
-    band = min(spec.q, n - 1)
-    w = np.zeros(n)
-    w[1:band + 1] = _gap_weight(np.arange(1, band + 1), spec.spacing_z, spec.weight_fn)
+def _toeplitz(w: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose entry (i, j) is w[|i - j|], as a copy of a
+    Toeplitz view of [w[n-1], ..., w[1], w[0], w[1], ..., w[n-1]]."""
+    n = len(w)
     mirrored = np.concatenate((w[:0:-1], w))
     # row i starts i entries before w[0] and runs forward: entry (i, j) is w[|i - j|]
     step = mirrored.itemsize
     return np.lib.stride_tricks.as_strided(mirrored[n - 1:], (n, n), (-step, step)).copy()
 
 
-def degree_vector(adjacency: np.ndarray) -> np.ndarray:
-    """Weighted degree of each node (row sums of the adjacency)."""
-    return np.asarray(adjacency, dtype=float).sum(axis=1)
+def build_adjacency(spec: GraphSpec) -> np.ndarray:
+    """Dense symmetric weighted adjacency with a zero diagonal.
+
+    Entry (i, j) depends only on the gap |i - j|, so the matrix is filled
+    in one pass from the spec's gap weights w: entry (i, j) is w[|i - j|].
+    """
+    return _toeplitz(spec.gap_weights)

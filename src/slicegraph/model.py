@@ -30,7 +30,7 @@ from .spectral import (
     ScaledLaplacian,
     cheb_basis,
     cheb_basis_adjoint,
-    scaled_laplacian_from_adjacency,
+    scaled_laplacian_from_gaps,
 )
 
 __all__ = [
@@ -154,21 +154,26 @@ class ModelParams:
 
 
 class SampleGraph:
-    """One sample's graph: its adjacency, which graphconv applies, and the
-    scaled Laplacian, which cheb applies. The Laplacian is built from the
-    adjacency on first use, so graphconv never pays for it."""
+    """One sample's graph, held as its spec: the adjacency, which graphconv
+    applies, and the scaled Laplacian, which cheb applies, are each built on
+    first use and kept. L̂ comes straight from the spec's gap weights, so a
+    graph keeps only the n x n operator its variant reads."""
 
-    def __init__(self, adjacency: np.ndarray) -> None:
-        self.adjacency = adjacency
-        self.n_nodes = adjacency.shape[0]
+    def __init__(self, spec: GraphSpec) -> None:
+        self.spec = spec
+        self.n_nodes = spec.n_nodes
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return build_adjacency(self.spec)
 
     @cached_property
     def lhat(self) -> ScaledLaplacian:
-        return scaled_laplacian_from_adjacency(self.adjacency)
+        return scaled_laplacian_from_gaps(self.spec.gap_weights)
 
 
 def prepare_graph(spec: GraphSpec) -> SampleGraph:
-    return SampleGraph(build_adjacency(spec))
+    return SampleGraph(spec)
 
 
 class GraphOperatorCache:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
+from .graph import _toeplitz
 
 __all__ = [
     "ScaledLaplacian",
@@ -19,6 +20,7 @@ __all__ = [
     "lambda_max",
     "scale_laplacian",
     "scaled_laplacian_from_adjacency",
+    "scaled_laplacian_from_gaps",
     "cheb_basis",
     "cheb_basis_adjoint",
     "cheb_apply",
@@ -55,14 +57,36 @@ def laplacian(adjacency: np.ndarray) -> np.ndarray:
     return lap
 
 
+def _half_blocks(lap: np.ndarray) -> np.ndarray:
+    """A + B·J and A - B·J, the half-size blocks whose spectra together are
+    that of a symmetric `lap` equal to its 180-degree rotation (Cantoni &
+    Butler 1976): A and B are its top-left and top-right m x m blocks,
+    m = n // 2, and J reverses columns. For odd n the middle row and column,
+    scaled by sqrt(2), border the first block; the second is zero-padded."""
+    n = len(lap)
+    m, h = n // 2, n - n // 2
+    near, far = lap[:m, :m], lap[:m, ::-1][:, :m]
+    blocks = np.zeros((2, h, h))
+    blocks[0, :m, :m], blocks[1, :m, :m] = near + far, near - far
+    if n % 2:
+        blocks[0, m], blocks[0, :, m] = np.sqrt(2.0) * lap[m, :h], np.sqrt(2.0) * lap[:h, m]
+        blocks[0, m, m] = lap[m, m]
+    return blocks
+
+
 def lambda_max(lap: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric Laplacian.
+    """Largest eigenvalue of a symmetric Laplacian: one stacked eigvalsh of
+    its two half-size blocks if it equals its 180-degree rotation, as a
+    banded graph's does unless its degree sums round apart, else a dense one.
 
     Raises DegenerateSpectrumError when the spectrum is numerically zero,
     which happens exactly when the graph has no edges.
     """
-    vals = np.linalg.eigvalsh(np.asarray(lap, dtype=float))
-    top = float(vals[-1])
+    lap = np.asarray(lap, dtype=float)
+    centrosymmetric = (lap.ndim == 2 and len(lap) == lap.shape[1]
+                       and np.array_equal(lap, lap[::-1, ::-1]))
+    vals = np.linalg.eigvalsh(_half_blocks(lap) if centrosymmetric else lap)
+    top = float(vals[..., -1].max())
     if top < _DEGENERATE_EPS:
         raise DegenerateSpectrumError(
             f"largest Laplacian eigenvalue {top:.3e} is numerically zero"
@@ -81,6 +105,15 @@ def scale_laplacian(lap: np.ndarray, lmax: float) -> ScaledLaplacian:
 
 def scaled_laplacian_from_adjacency(adjacency: np.ndarray) -> ScaledLaplacian:
     lap = laplacian(adjacency)
+    return scale_laplacian(lap, lambda_max(lap))
+
+
+def scaled_laplacian_from_gaps(w: np.ndarray) -> ScaledLaplacian:
+    """L̂ of the graph whose edge (i, j) weighs w[|i - j|], w[0] = 0, from w
+    alone: the Toeplitz matrix of 0.0 - w with its negated row sums on the
+    diagonal is the Laplacian `laplacian` writes for that graph, byte for byte."""
+    lap = _toeplitz(0.0 - np.asarray(w, dtype=float))
+    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))  # 0.0 - s keeps an edgeless row's +0.0
     return scale_laplacian(lap, lambda_max(lap))
 
 

@@ -20,6 +20,7 @@ import slicegraph
 import slicegraph.cli
 import slicegraph.data
 import slicegraph.experiments
+import slicegraph.graph
 import slicegraph.model
 import slicegraph.spectral
 
@@ -106,6 +107,23 @@ def prepared_graphs(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(slicegraph.model, "prepare_graph", counting)
+    return calls
+
+
+@pytest.fixture()
+def built_adjacencies(monkeypatch):
+    """Every (n_nodes, spacing) that `graph.build_adjacency` builds, under
+    whichever module's name for it the caller uses."""
+    calls = []
+    original = slicegraph.graph.build_adjacency
+
+    def counting(spec):
+        calls.append((spec.n_nodes, spec.spacing_z))
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slicegraph.") and getattr(module, "build_adjacency", None) is original:
+            monkeypatch.setattr(module, "build_adjacency", counting)
     return calls
 
 
@@ -322,6 +340,17 @@ class TestTrain:
         distinct = {key for keys in MIXED_KEYS.values() for key in keys}
         assert len(lambda_max_calls) == (len(distinct) if variant == "cheb" else 0)
 
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_builds_an_adjacency_only_for_graphconv(self, tmp_path, tiny_config, variant,
+                                                    built_adjacencies):
+        data = tmp_path / "data"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--variant", variant, "--out", tmp_path / "run") == 0
+        distinct = {key for keys in MIXED_KEYS.values() for key in keys}
+        assert len(built_adjacencies) == len(set(built_adjacencies)) == \
+            (len(distinct) if variant == "graphconv" else 0)
+
     def test_prepares_each_graph_once(self, tmp_path, tiny_config, prepared_graphs):
         data = tmp_path / "data"
         write_mixed_volumes(data)
@@ -329,6 +358,30 @@ class TestTrain:
                        "--out", tmp_path / "run") == 0
         distinct = {key for keys in MIXED_KEYS.values() for key in keys}
         assert len(prepared_graphs) == len(set(prepared_graphs)) == len(distinct)
+
+    def test_rerun_into_one_directory_leaves_only_its_own_files(self, tmp_path):
+        # 8 steps write quarter checkpoints at steps 2, 4, 6 and 8; 12 steps
+        # at 3, 6, 9 and 12
+        configs = {}
+        for steps in (8, 12):
+            configs[steps] = tmp_path / f"steps{steps}.json"
+            configs[steps].write_text(json.dumps({**TINY, "total_steps": steps}))
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_cli("train", "--config", configs[8], "--out", out) == 0
+        (out / "notes.txt").write_text("not the run's")
+        assert run_cli("train", "--config", configs[12], "--out", out) == 0
+        assert run_cli("train", "--config", configs[12], "--out", fresh) == 0
+        files = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+            {**files, "notes.txt": b"not the run's"}
+
+    def test_failed_rerun_leaves_none_of_the_earlier_run(self, tmp_path, tiny_config):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", tiny_config, "--out", out) == 0
+        (out / "notes.txt").write_text("not the run's")
+        assert run_cli("train", "--config", tiny_config, "--data", tmp_path / "nope",
+                       "--out", out) == 4
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 class TestBlasThreadCount:
@@ -412,6 +465,32 @@ class TestEval:
                        "--checkpoint", run / "checkpoint.ctgc") == 0
         scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
         assert len(lambda_max_calls) == (len(scored) if variant == "cheb" else 0)
+
+    @pytest.mark.parametrize("variant", ["cheb", "graphconv"])
+    def test_builds_an_adjacency_only_for_graphconv(self, tmp_path, tiny_config, variant,
+                                                    built_adjacencies):
+        data, run = tmp_path / "data", tmp_path / "run"
+        write_mixed_volumes(data)
+        assert run_cli("train", "--config", tiny_config, "--data", data,
+                       "--variant", variant, "--out", run) == 0
+        built_adjacencies.clear()
+        assert run_cli("eval", "--config", tiny_config, "--data", data,
+                       "--checkpoint", run / "checkpoint.ctgc") == 0
+        scored = set(MIXED_KEYS["val"] + MIXED_KEYS["test"])
+        assert len(built_adjacencies) == len(set(built_adjacencies)) == \
+            (len(scored) if variant == "graphconv" else 0)
+
+    def test_failed_rerun_leaves_no_earlier_metrics(self, tmp_path, tiny_config):
+        data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+        run_cli("gen-data", "--config", tiny_config, "--out", data)
+        run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
+        argv = ("eval", "--config", tiny_config, "--data", data,
+                "--checkpoint", run / "checkpoint.ctgc", "--out", out)
+        assert run_cli(*argv) == 0
+        (out / "notes.txt").write_text("not the run's")
+        shutil.rmtree(data / "test")
+        assert run_cli(*argv) == 4
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
     def test_q_full_reads_no_train_split(self, tmp_path, tiny_config, monkeypatch):
         # train/ holds taller volumes (12 nodes) than val/ and test/ (6)

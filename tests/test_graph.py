@@ -1,4 +1,4 @@
-"""Banded slice-graph construction: edge sets, distance weights, adjacency."""
+"""Banded slice-graph construction: edge counts, distance weights, adjacency."""
 
 import dataclasses
 
@@ -14,8 +14,6 @@ from slicegraph.graph import (
     GraphSpec,
     WeightFn,
     build_adjacency,
-    build_edge_set,
-    degree_vector,
     edge_weight,
 )
 
@@ -73,29 +71,31 @@ class TestGraphSpec:
 
 
 class TestEdgeSet:
+    """The edge count inspect-graph reports, `GraphSpec.n_edges`."""
+
     def test_path_of_three(self):
-        assert build_edge_set(banded_spec(3, 1)) == {(0, 1), (1, 2)}
+        assert banded_spec(3, 1).n_edges == 2
 
     def test_band_at_least_n_minus_one_is_complete(self):
-        assert build_edge_set(banded_spec(4, 3)) == {
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-        }
+        assert banded_spec(4, 3).n_edges == banded_spec(4, 9).n_edges == 6
 
     def test_paper_scale_edge_count(self):
         # 80 nodes, band 16: sum over gaps g=1..16 of (80 - g) pairs
-        assert len(build_edge_set(banded_spec(80, 16))) == 1144
+        assert banded_spec(80, 16).n_edges == 1144
 
-    @given(specs_strategy)
-    def test_edge_count_closed_form(self, spec):
-        edges = build_edge_set(spec)
-        g_max = min(spec.q, spec.n_nodes - 1)
-        assert len(edges) == sum(spec.n_nodes - g for g in range(1, g_max + 1))
+    def test_edge_count_closed_form(self):
+        # against a count of node pairs, for every q up to n (q = n - 1 is full)
+        for n in range(2, 41):
+            for q in range(1, n + 1):
+                pairs = sum(j - i <= q for i in range(n) for j in range(i + 1, n))
+                assert banded_spec(n, q).n_edges == pairs, (n, q)
 
     @given(specs_strategy)
     def test_edges_are_ordered_banded_and_loop_free(self, spec):
-        for i, j in build_edge_set(spec):
-            assert 0 <= i < j < spec.n_nodes
-            assert 1 <= j - i <= spec.q
+        # the adjacency's weighted pairs are exactly the counted edges
+        i, j = np.nonzero(np.triu(build_adjacency(spec)))
+        assert ((j - i >= 1) & (j - i <= spec.q)).all()
+        assert len(i) == spec.n_edges
 
 
 class TestEdgeWeight:
@@ -142,7 +142,6 @@ class TestEdgeWeight:
         spec = banded_spec(10, 3)
         assert edge_weight(0, 5, spec) > 0.0
         assert build_adjacency(spec)[0, 5] == 0.0
-        assert (0, 5) not in build_edge_set(spec)
 
     @given(
         gap=st.integers(min_value=1, max_value=40),
@@ -183,11 +182,10 @@ class TestAdjacency:
     def test_matches_edge_weight_entrywise(self, spec):
         a = build_adjacency(spec)
         assert a.shape == (spec.n_nodes, spec.n_nodes)
-        edges = build_edge_set(spec)
         for i in range(spec.n_nodes):
             assert a[i, i] == 0.0
             for j in range(i + 1, spec.n_nodes):
-                if (i, j) in edges:
+                if j - i <= spec.q:
                     assert a[i, j] == edge_weight(i, j, spec)
                     assert a[j, i] == a[i, j]
                 else:
@@ -202,22 +200,28 @@ class TestAdjacency:
 
 
 class TestDegreeVector:
+    """A node's degree is its adjacency row sum, as inspect-graph reports it."""
+
     def test_path_of_three_constant(self):
-        deg = degree_vector(build_adjacency(banded_spec(3, 1, WeightFn.CONSTANT)))
+        deg = build_adjacency(banded_spec(3, 1, WeightFn.CONSTANT)).sum(axis=1)
         np.testing.assert_array_equal(deg, [1.0, 2.0, 1.0])
 
     def test_path_of_three_inverse_dm(self):
-        deg = degree_vector(
-            build_adjacency(banded_spec(3, 1, WeightFn.INVERSE_DM, spacing_z=0.015)))
+        deg = build_adjacency(banded_spec(3, 1, WeightFn.INVERSE_DM, spacing_z=0.015)).sum(axis=1)
         np.testing.assert_allclose(
             deg, [1.9569377990430623, 3.9138755980861246, 1.9569377990430623],
             rtol=0, atol=1e-15)
 
     def test_two_node_constant(self):
-        deg = degree_vector(build_adjacency(banded_spec(2, 1, WeightFn.CONSTANT)))
+        deg = build_adjacency(banded_spec(2, 1, WeightFn.CONSTANT)).sum(axis=1)
         np.testing.assert_array_equal(deg, [1.0, 1.0])
 
     @given(specs_strategy)
     def test_degree_sums_rows(self, spec):
-        a = build_adjacency(spec)
-        np.testing.assert_array_equal(degree_vector(a), a.sum(axis=1))
+        # unweighted, node i has min(i, q) neighbours before it and
+        # min(n - 1 - i, q) after it; the degrees sum to twice the edge count
+        n, q = spec.n_nodes, spec.q
+        deg = build_adjacency(GraphSpec(n, q, spec.spacing_z, WeightFn.CONSTANT)).sum(axis=1)
+        i = np.arange(n)
+        np.testing.assert_array_equal(deg, np.minimum(i, q) + np.minimum(n - 1 - i, q))
+        assert deg.sum() == 2 * spec.n_edges

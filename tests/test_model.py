@@ -38,7 +38,8 @@ from slicegraph.model import (
     relu,
     sigmoid,
 )
-from slicegraph.spectral import laplacian, spectral_filter_oracle
+from slicegraph.spectral import (laplacian, scaled_laplacian_from_adjacency,
+                                 spectral_filter_oracle)
 
 
 def spec_of(n, q, weight_fn=WeightFn.CONSTANT, spacing_z=0.015):
@@ -63,11 +64,33 @@ def layer_output(graph, x, params):
     return relu(layers[0][-1])
 
 
+class RelabelledGraph:
+    """A graph given by its adjacency alone, as a node relabelling leaves a
+    banded one; its L̂ comes from that adjacency."""
+
+    def __init__(self, adjacency):
+        self.adjacency = adjacency
+        self.n_nodes = len(adjacency)
+        self.lhat = scaled_laplacian_from_adjacency(adjacency)
+
+
 def random_graph(rng, n_max=12):
     n = int(rng.integers(2, n_max + 1))
     q = int(rng.integers(1, n))
     wf = list(WeightFn)[int(rng.integers(len(WeightFn)))]
     return prepare_graph(spec_of(n, q, wf, float(rng.uniform(0.005, 0.05))))
+
+
+def held_arrays(obj):
+    """Every ndarray `obj` holds, through dicts and the attributes of this
+    package's objects."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        return [a for value in obj.values() for a in held_arrays(value)]
+    if type(obj).__module__.startswith("slicegraph.") and hasattr(obj, "__dict__"):
+        return held_arrays(vars(obj))
+    return []
 
 
 class TestActivations:
@@ -259,7 +282,7 @@ class TestModelForward:
         adj = graph.adjacency
         for _ in range(50):
             perm = rng.permutation(9)
-            graph_p = type(graph)(adj[np.ix_(perm, perm)])
+            graph_p = RelabelledGraph(adj[np.ix_(perm, perm)])
             # the graph and its relabelling side by side in one pass
             (base, out), _, _ = pass_forward([(graph, 1), (graph_p, 1)],
                                              np.concatenate([h, h[perm]]), params)
@@ -354,6 +377,24 @@ class TestModelForward:
             for s in samples])
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got.labels, np.stack([s.labels for s in samples]))
+
+    @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
+    def test_cache_holds_one_operator_per_graph(self, variant):
+        # after scoring volumes of mixed length and spacing, each graph keeps
+        # the one n x n operator its variant applies and nothing else
+        rng = np.random.default_rng(14)
+        keys = [(n, spacing) for n in (3, 8, 17, 40) for spacing in (0.625, 2.5)]
+        samples = [Sample(rng.normal(size=(n, 4)).astype(np.float32),
+                          rng.integers(0, 2, size=2).astype(np.uint8), spacing)
+                   for n, spacing in keys * 2]
+        graph_cfg = GraphConfig(q=4, weight_fn=WeightFn.INVERSE_DM)
+        cache = GraphOperatorCache(graph_cfg)
+        predict(init_params(4, 2, variant, seed=3), cache, samples)
+        graphs = list(cache._cache.values())
+        assert {g.spec for g in graphs} == {graph_cfg.spec_for(*key) for key in keys}
+        assert sum(a.nbytes for a in held_arrays(cache)) == sum(8 * n * n for n, _ in keys)
+        unused = "adjacency" if variant is Variant.CHEB else "lhat"
+        assert not any(unused in vars(g) for g in graphs)
 
     def test_rejects_wrong_feature_width(self):
         graph = prepare_graph(spec_of(4, 2))

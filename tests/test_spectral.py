@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from slicegraph.errors import DegenerateSpectrumError
 from slicegraph.graph import GraphSpec, WeightFn, _gap_weight, build_adjacency
-from slicegraph.model import (SampleGraph, Variant, init_params, pass_forward, per_graph,
-                              prepare_graph)
+from slicegraph.model import Variant, init_params, pass_forward, per_graph, prepare_graph
 from slicegraph.spectral import (
     ScaledLaplacian,
+    _half_blocks,
     cheb_apply,
     cheb_basis,
     cheb_basis_adjoint,
@@ -88,8 +88,8 @@ def dense_operators(spec):
 
 
 class TestOperatorsMatchDenseFormulas:
-    """The banded fill and the in-place Laplacian write the same bytes as
-    the dense formulas they replace."""
+    """The banded fill, the in-place Laplacian and the graph's L̂ built from
+    its gap weights write the same bytes as the dense formulas they replace."""
 
     SPACINGS_MM = (0.625, 1.25, 1.5, 2.5, 5.0, 100_000.0)
 
@@ -109,11 +109,15 @@ class TestOperatorsMatchDenseFormulas:
                         lambda_max(lap)
                     with pytest.raises(DegenerateSpectrumError):
                         scaled_laplacian_from_adjacency(built)
+                    with pytest.raises(DegenerateSpectrumError):
+                        prepare_graph(spec).lhat
                     continue
                 top = lambda_max(lap)
-                lhat = scaled_laplacian_from_adjacency(built)
-                assert lhat.lambda_max_used == top
-                assert lhat.values.tobytes() == ((2.0 / top) * lap - np.eye(n)).tobytes()
+                expected = scale_laplacian(laplacian(built), top)
+                for lhat in (scaled_laplacian_from_adjacency(built), prepare_graph(spec).lhat):
+                    assert lhat.lambda_max_used == top
+                    assert lhat.values.tobytes() == expected.values.tobytes() == \
+                        ((2.0 / top) * lap - np.eye(n)).tobytes()
 
 
 class TestLambdaMax:
@@ -134,8 +138,45 @@ class TestLambdaMax:
             pytest.approx(3.913876, abs=1e-6)
 
     def test_zero_matrix_is_degenerate(self):
-        with pytest.raises(DegenerateSpectrumError):
-            lambda_max(np.zeros((3, 3)))
+        for n in (2, 3, 4):
+            with pytest.raises(DegenerateSpectrumError):
+                lambda_max(np.zeros((n, n)))
+
+    @pytest.mark.parametrize("weight_fn", list(WeightFn))
+    def test_split_is_within_16_ulps_of_dense(self, weight_fn):
+        # a banded Laplacian equals its 180-degree rotation unless rounding
+        # sets its degree sums apart; those that do take the split
+        split = cases = 0
+        for n in range(2, 131):
+            for q in sorted({1, 4, 16, n - 1}):
+                for spacing in (0.625, 1.25, 2.5, 5.0):
+                    lap = laplacian(build_adjacency(
+                        GraphSpec.from_spacing_mm(n, q, spacing, weight_fn)))
+                    dense = float(np.linalg.eigvalsh(lap)[-1])
+                    assert abs(lambda_max(lap) - dense) <= 16 * np.spacing(dense), (n, q, spacing)
+                    split += np.array_equal(lap, lap[::-1, ::-1])
+                    cases += 1
+        assert split >= cases // 4
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+    def test_half_blocks_carry_the_whole_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        m = m + m[::-1, ::-1]
+        blocks = _half_blocks(m)
+        # the second block of an odd n is padded with one zero row and column
+        halves = np.concatenate([np.linalg.eigvalsh(blocks[0]),
+                                 np.linalg.eigvalsh(blocks[1][:n // 2, :n // 2])])
+        np.testing.assert_allclose(np.sort(halves), np.linalg.eigvalsh(m),
+                                   rtol=0, atol=1e-12 * np.abs(m).max() * n)
+
+    def test_relabelled_laplacian_takes_the_dense_eigvalsh(self):
+        lap = laplacian(build_adjacency(GraphSpec(9, 3, 0.015, WeightFn.CONSTANT)))
+        perm = np.random.default_rng(4).permutation(9)
+        relabelled = lap[np.ix_(perm, perm)]
+        assert not np.array_equal(relabelled, relabelled[::-1, ::-1])
+        assert lambda_max(relabelled) == float(np.linalg.eigvalsh(relabelled)[-1])
 
 
 class TestScaleLaplacian:
@@ -232,7 +273,7 @@ class TestAdjoints:
     def test_graphconv_operator_is_self_adjoint_over_a_pass(self):
         rng = np.random.default_rng(36)
         # blocks of different n, as graph_passes forms them for mixed volumes
-        blocks = [(SampleGraph(build_adjacency(band_spec(n))), b)
+        blocks = [(prepare_graph(band_spec(n)), b)
                   for n, b in ((5, 2), (8, 1), (3, 3))]
         rows = sum(graph.n_nodes * b for graph, b in blocks)
         x = rng.normal(size=(rows, 4))
