@@ -45,7 +45,7 @@ from .experiments import (
     score,
 )
 from .gradients import run_gradcheck
-from .graph import GraphConfig, GraphSpec, WeightFn
+from .graph import GraphConfig, WeightFn
 from .model import GraphOperatorCache, Variant, prepare_graph
 from .train import TrainConfig, train
 
@@ -383,21 +383,20 @@ def cmd_inspect_graph(args) -> int:
     values = _values(args)
     n_nodes, spacing_mm = values["n_nodes"], values["spacing_mm"]
     try:
-        spec = GraphSpec.from_spacing_mm(n_nodes, resolve_q(values["q"], n_nodes), spacing_mm,
-                                         values["weight_fn"])
+        graph = prepare_graph(GraphConfig(resolve_q(values["q"], n_nodes), values["weight_fn"]),
+                              n_nodes, spacing_mm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    graph = prepare_graph(spec)
     degrees = graph.adjacency.sum(axis=1)
     lhat_eigs = np.linalg.eigvalsh(graph.lhat.values)
     payload = {
-        "n_nodes": spec.n_nodes,
-        "q": spec.q,
-        "fully_connected": spec.is_fully_connected,
-        "weight_fn": spec.weight_fn.value,
+        "n_nodes": graph.n_nodes,
+        "q": graph.q,
+        "fully_connected": graph.is_fully_connected,
+        "weight_fn": graph.weight_fn.value,
         "spacing_z_mm": spacing_mm,
-        "spacing_z_dm": spec.spacing_z,
-        "n_edges": spec.n_edges,
+        "spacing_z_dm": graph.spacing_z,
+        "n_edges": graph.n_edges,
         "degree": {"min": float(degrees.min()), "max": float(degrees.max()),
                    "mean": float(degrees.mean())},
         "lambda_max": graph.lhat.lambda_max_used,

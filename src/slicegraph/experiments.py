@@ -67,7 +67,7 @@ def predict(params: ModelParams, graphs: GraphOperatorCache,
     (n_nodes, spacing). The graphs come from, and are added to, `graphs`,
     so every call of one command prepares each graph once."""
     scores = np.empty((len(samples), params.layout.n_labels))
-    for positions, blocks in graph_passes(graphs.for_sample(s) for s in samples):
+    for positions, blocks in graph_passes(graphs.get(s) for s in samples):
         rows = np.concatenate([samples[i].features for i in positions])
         scores[positions] = sigmoid(pass_forward(blocks, rows, params)[0])
     labels = np.stack([s.labels for s in samples])
@@ -189,7 +189,8 @@ class AblationGrid:
 
 
 def resolve_q(q, n_nodes: int) -> int:
-    return n_nodes - 1 if q == "full" else int(q)
+    # "full" is at least 1, so on fewer than 2 nodes the node count is what fails
+    return max(n_nodes - 1, 1) if q == "full" else int(q)
 
 
 _CELL_METRICS = ("f1", "recall", "precision", "accuracy", "auroc")

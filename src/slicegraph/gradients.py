@@ -11,10 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .graph import GraphSpec, WeightFn
+from .graph import GraphConfig, GraphSpec, WeightFn
 from .model import (
     ModelParams,
-    SampleGraph,
     Variant,
     bce_grad_logits,
     bce_loss,
@@ -45,7 +44,7 @@ GRADCHECK_TOL = 1e-5
 KINK_MARGIN = 1e-3
 
 
-def _kink_distance(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> float:
+def _kink_distance(graph: GraphSpec, h: np.ndarray, params: ModelParams) -> float:
     """Distance from the nearest ReLU hinge over every pre-activation."""
     _, layers, (_, head_pre, _) = pass_forward([(graph, 1)], h, params)
     return min(float(np.abs(pre).min()) for pre in [t[-1] for t in layers] + [head_pre])
@@ -100,7 +99,7 @@ def central_difference_grads(loss_fn, x: np.ndarray, epsilon: float) -> np.ndarr
     return grad
 
 
-def finite_diff_grad(graph: SampleGraph, h: np.ndarray, labels: np.ndarray,
+def finite_diff_grad(graph: GraphSpec, h: np.ndarray, labels: np.ndarray,
                      params: ModelParams, epsilon: float = 1e-5) -> np.ndarray:
     """Numeric gradient of the sample loss w.r.t. `params.flat`; oracle for
     `backward`."""
@@ -150,11 +149,9 @@ def run_gradcheck(n_trials: int = 20, seed: int = 0,
             d = int(rng.integers(2, 7))
             n_labels = int(rng.integers(1, 4))
             q = int(rng.integers(1, n))
-            spec = GraphSpec.from_spacing_mm(
-                n, q, float(rng.uniform(0.5, 3.0)),
-                weight_fns[int(rng.integers(len(weight_fns)))],
-            )
-            graph = prepare_graph(spec)
+            spacing_mm = float(rng.uniform(0.5, 3.0))  # the draw order fixes every trial
+            graph_cfg = GraphConfig(q, weight_fns[int(rng.integers(len(weight_fns)))])
+            graph = prepare_graph(graph_cfg, n, spacing_mm)
             params = init_params(d, n_labels, variant,
                                  seed=int(rng.integers(2 ** 31)))
             h = rng.normal(size=(n, d))

@@ -4,14 +4,18 @@ A 3D volume read along its z axis becomes a path-like graph: one node
 per slice triplet, ordered by axial position. Two nodes are connected
 when they are at most ``q`` apart in that ordering, and edge weights
 encode the physical z distance between the slices they cover.
+A volume's graph is one `GraphSpec`, whose gap-weight vector fixes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
+
+from . import spectral
 
 __all__ = [
     "WeightFn",
@@ -42,11 +46,11 @@ class WeightFn(str, Enum):
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Full description of one sample's graph.
-
-    ``spacing_z`` is the z spacing in decimetres; use
-    :meth:`from_spacing_mm` when starting from millimetre metadata.
-    A ``q`` of ``n_nodes - 1`` or more yields the fully connected graph.
+    """One sample's graph. ``spacing_z`` is the z spacing in decimetres;
+    `model.prepare_graph` makes a spec from millimetres. A ``q`` of
+    ``n_nodes - 1`` or more yields the fully connected graph. `adjacency`
+    (graphconv) and `lhat` (cheb) are built on first use and kept, so a
+    graph holds only the n x n operator its variant applies.
     """
 
     n_nodes: int
@@ -62,11 +66,6 @@ class GraphSpec:
         if not 0 < self.spacing_z < np.inf:
             raise ValueError(f"z spacing must be positive and finite, got {self.spacing_z}")
         object.__setattr__(self, "weight_fn", WeightFn(self.weight_fn))
-
-    @classmethod
-    def from_spacing_mm(cls, n_nodes: int, q: int, spacing_mm: float,
-                        weight_fn: WeightFn = WeightFn.INVERSE_DM) -> "GraphSpec":
-        return cls(n_nodes, q, spacing_mm / MM_PER_DM, weight_fn)
 
     @property
     def is_fully_connected(self) -> bool:
@@ -86,6 +85,18 @@ class GraphSpec:
         w[gaps] = _gap_weight(gaps, self.spacing_z, self.weight_fn)
         return w
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return build_adjacency(self)
+
+    @cached_property
+    def lhat(self) -> spectral.ScaledLaplacian:
+        """L̂ from w alone, without A or `spectral.laplacian`'s checks: the Toeplitz
+        matrix of 0.0 - w with its negated row sums on the diagonal is L, byte for byte."""
+        lap = _toeplitz(0.0 - self.gap_weights)
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))  # 0.0 - s keeps an edgeless row's +0.0
+        return spectral.scale_laplacian(lap, spectral.lambda_max(lap))
+
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -98,9 +109,6 @@ class GraphConfig:
         if self.q < 1:
             raise ValueError(f"neighbourhood size must be >= 1, got {self.q}")
         object.__setattr__(self, "weight_fn", WeightFn(self.weight_fn))
-
-    def spec_for(self, n_nodes: int, spacing_mm: float) -> GraphSpec:
-        return GraphSpec.from_spacing_mm(n_nodes, self.q, spacing_mm, self.weight_fn)
 
 
 def _gap_weight(gap, spacing_z: float, weight_fn: WeightFn):

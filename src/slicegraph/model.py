@@ -9,6 +9,8 @@ graph's samples contiguous (`graph_passes` forms them): every weight
 product runs once over all R rows and only the graph operator runs per
 graph. `pass_backward` runs the same pass in reverse, by hand, from
 what the forward pass saved. A single sample is a pass of one.
+A sample's graph is a `graph.GraphSpec` made by `prepare_graph`; a
+command's `GraphOperatorCache` keeps one per (n_nodes, spacing).
 
 All parameters live in one contiguous f64 vector whose tensor order and
 shapes come from `ParamLayout`; `ModelParams` holds that vector, read-only,
@@ -25,19 +27,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import GraphConfig, GraphSpec, build_adjacency
-from .spectral import (
-    ScaledLaplacian,
-    cheb_basis,
-    cheb_basis_adjoint,
-    scaled_laplacian_from_gaps,
-)
+from .graph import MM_PER_DM, GraphConfig, GraphSpec
+from .spectral import cheb_basis, cheb_basis_adjoint
 
 __all__ = [
     "Variant",
     "ParamLayout",
     "ModelParams",
-    "SampleGraph",
     "GraphOperatorCache",
     "prepare_graph",
     "init_params",
@@ -153,46 +149,24 @@ class ModelParams:
         self.layers, self.head = layout.group(flat)
 
 
-class SampleGraph:
-    """One sample's graph, held as its spec: the adjacency, which graphconv
-    applies, and the scaled Laplacian, which cheb applies, are each built on
-    first use and kept. L̂ comes straight from the spec's gap weights, so a
-    graph keeps only the n x n operator its variant reads."""
-
-    def __init__(self, spec: GraphSpec) -> None:
-        self.spec = spec
-        self.n_nodes = spec.n_nodes
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        return build_adjacency(self.spec)
-
-    @cached_property
-    def lhat(self) -> ScaledLaplacian:
-        return scaled_laplacian_from_gaps(self.spec.gap_weights)
-
-
-def prepare_graph(spec: GraphSpec) -> SampleGraph:
-    return SampleGraph(spec)
+def prepare_graph(graph_cfg: GraphConfig, n_nodes: int, spacing_mm: float) -> GraphSpec:
+    """The graph of a volume of `n_nodes` nodes at z spacing `spacing_mm`."""
+    return GraphSpec(n_nodes, graph_cfg.q, spacing_mm / MM_PER_DM, graph_cfg.weight_fn)
 
 
 class GraphOperatorCache:
-    """Memoises SampleGraph per (n_nodes, spacing); samples often share both."""
+    """Memoises each sample's graph per (n_nodes, spacing); samples often
+    share both, and a graph keeps the operators it has built."""
 
     def __init__(self, graph_cfg: GraphConfig) -> None:
         self.graph_cfg = graph_cfg
-        self._cache: dict[tuple[int, float], SampleGraph] = {}
+        self._cache: dict[tuple[int, float], GraphSpec] = {}
 
-    def get(self, n_nodes: int, spacing_mm: float) -> SampleGraph:
-        key = (n_nodes, spacing_mm)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = prepare_graph(self.graph_cfg.spec_for(n_nodes, spacing_mm))
-            self._cache[key] = hit
-        return hit
-
-    def for_sample(self, sample) -> SampleGraph:
-        return self.get(sample.features.shape[0], sample.spacing_z_mm)
+    def get(self, sample) -> GraphSpec:
+        key = (sample.features.shape[0], sample.spacing_z_mm)
+        if key not in self._cache:
+            self._cache[key] = prepare_graph(self.graph_cfg, *key)
+        return self._cache[key]
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -242,7 +216,7 @@ def aggregate_sum(z: np.ndarray) -> np.ndarray:
     return z.sum(axis=-2)
 
 
-def graph_passes(graphs) -> list[tuple[list[int], list[tuple[SampleGraph, int]]]]:
+def graph_passes(graphs) -> list[tuple[list[int], list[tuple[GraphSpec, int]]]]:
     """Positions of `graphs`, grouped by graph object in order of first
     appearance and packed into passes of at most PASS_ROWS node rows. A
     pass is (positions, blocks): the positions in row order, and blocks
@@ -250,10 +224,10 @@ def graph_passes(graphs) -> list[tuple[list[int], list[tuple[SampleGraph, int]]]
     samples share one pass unless they exceed PASS_ROWS; then they fill
     passes in turn, straddling pass boundaries. A sample larger than
     PASS_ROWS runs alone."""
-    groups: dict[int, tuple[SampleGraph, list[int]]] = {}
+    groups: dict[int, tuple[GraphSpec, list[int]]] = {}
     for i, graph in enumerate(graphs):
         groups.setdefault(id(graph), (graph, []))[1].append(i)
-    passes: list[tuple[list[int], list[tuple[SampleGraph, int]]]] = [([], [])]
+    passes: list[tuple[list[int], list[tuple[GraphSpec, int]]]] = [([], [])]
     rows = 0
     for graph, idx in groups.values():
         n = graph.n_nodes
@@ -379,7 +353,7 @@ def pass_backward(blocks, saved, d_logits: np.ndarray, params: ModelParams,
             dz = d_pre_l @ layer["w_self"].T + per_graph(blocks, d_neigh, 0)
 
 
-def model_forward(graph: SampleGraph, h: np.ndarray, params: ModelParams) -> np.ndarray:
+def model_forward(graph: GraphSpec, h: np.ndarray, params: ModelParams) -> np.ndarray:
     """Logits (one per label) for one (n_nodes, d) sample: a pass of one."""
     return pass_forward([(graph, 1)], h, params)[0][0]
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .graph import _toeplitz
 
 __all__ = [
     "ScaledLaplacian",
@@ -20,7 +19,6 @@ __all__ = [
     "lambda_max",
     "scale_laplacian",
     "scaled_laplacian_from_adjacency",
-    "scaled_laplacian_from_gaps",
     "cheb_basis",
     "cheb_basis_adjoint",
     "cheb_apply",
@@ -105,15 +103,6 @@ def scale_laplacian(lap: np.ndarray, lmax: float) -> ScaledLaplacian:
 
 def scaled_laplacian_from_adjacency(adjacency: np.ndarray) -> ScaledLaplacian:
     lap = laplacian(adjacency)
-    return scale_laplacian(lap, lambda_max(lap))
-
-
-def scaled_laplacian_from_gaps(w: np.ndarray) -> ScaledLaplacian:
-    """L̂ of the graph whose edge (i, j) weighs w[|i - j|], w[0] = 0, from w
-    alone: the Toeplitz matrix of 0.0 - w with its negated row sums on the
-    diagonal is the Laplacian `laplacian` writes for that graph, byte for byte."""
-    lap = _toeplitz(0.0 - np.asarray(w, dtype=float))
-    np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))  # 0.0 - s keeps an edgeless row's +0.0
     return scale_laplacian(lap, lambda_max(lap))
 
 

@@ -144,7 +144,7 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
     every quarter of the run, and the final `checkpoint.ctgc`.
 
     Raises NumericError with step/lr/gradient-norm diagnostics if the
-    loss stops being finite.
+    loss stops being finite; the log's last line then holds them, NaN as null.
     """
     train_set = list(train_set)
     if not train_set:
@@ -179,7 +179,7 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
             batch = [train_set[i] for i in order[cursor:cursor + cfg.batch_size]]
             cursor += cfg.batch_size
 
-            items = [(graphs.for_sample(s), s.features, s.labels) for s in batch]
+            items = [(graphs.get(s), s.features, s.labels) for s in batch]
             loss, grads = backward(items, params)
             lr = lr_at(step, cfg)
             if not math.isfinite(loss):
@@ -197,6 +197,12 @@ def train(train_set, val_set, graphs: GraphConfig | GraphOperatorCache, variant:
             done = step + 1
             if done in marks and out_dir is not None:
                 save_checkpoint(out_dir / f"checkpoint_step{done:07d}.ctgc", params)
+    except NumericError as exc:
+        if log_file is not None:  # the last line says why the run stopped
+            norms = exc.grad_norms and [g if math.isfinite(g) else None for g in exc.grad_norms]
+            log_file.write(json.dumps({"error": type(exc).__name__, "step": exc.step,
+                                       "lr": exc.lr, "grad_norms": norms}) + "\n")
+        raise
     finally:
         if log_file is not None:
             log_file.close()

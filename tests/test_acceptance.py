@@ -39,7 +39,6 @@ from slicegraph.model import (
     Variant,
     init_params,
     model_forward,
-    prepare_graph,
 )
 from slicegraph.checkpoint import load_checkpoint, save_checkpoint
 from slicegraph.spectral import (
@@ -174,8 +173,7 @@ def test_04_permutation_invariance_of_logits():
         rng = np.random.default_rng(104)
         worst = 0.0
         for variant in (Variant.CHEB, Variant.GRAPHCONV):
-            spec = GraphSpec(10, 3, 0.015, WeightFn.INVERSE_DM)
-            graph = prepare_graph(spec)
+            graph = GraphSpec(10, 3, 0.015, WeightFn.INVERSE_DM)
             params = init_params(6, 4, variant, seed=7)
             h = rng.normal(size=(10, 6))
             base = model_forward(graph, h, params)

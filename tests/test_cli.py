@@ -102,9 +102,10 @@ def prepared_graphs(monkeypatch):
     calls = []
     original = slicegraph.model.prepare_graph
 
-    def counting(spec):
+    def counting(graph_cfg, n_nodes, spacing_mm):
+        spec = original(graph_cfg, n_nodes, spacing_mm)
         calls.append((spec.n_nodes, spec.spacing_z))
-        return original(spec)
+        return spec
 
     monkeypatch.setattr(slicegraph.model, "prepare_graph", counting)
     return calls
@@ -382,6 +383,28 @@ class TestTrain:
         assert run_cli("train", "--config", tiny_config, "--data", tmp_path / "nope",
                        "--out", out) == 4
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_numeric_failure_is_the_last_line_of_the_log(self, tmp_path):
+        # the loss is NaN at step 2: the log holds steps 0 and 1, then why it stopped
+        config = tmp_path / "blowup.json"
+        config.write_text(json.dumps({**TINY, "max_lr": 1e300, "total_steps": 8,
+                                      "warmup_steps": 1, "log_every": 1}))
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert run_cli("train", "--config", config, "--out", out) == 3
+
+        def strict(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        *logged, failure = [json.loads(line, parse_constant=strict)
+                            for line in (out / "train_log.ndjson").read_text().splitlines()]
+        assert [entry["step"] for entry in logged] == [0, 1]
+        assert failure["error"] == "NumericError"
+        assert failure["step"] == 2
+        assert 1e299 < failure["lr"] <= 1e300
+        norms = failure["grad_norms"]
+        assert len(norms) == len(init_params(TINY["d"], TINY["n_labels"]).layout.entries)
+        assert set(norms) == {None}  # NaN norms, written as null
 
 
 class TestBlasThreadCount:
@@ -1005,6 +1028,7 @@ class TestExitCodes:
         (("train", "--seed", -1), "seed must be >= 0, got -1"),
         (("gen-data", "--seed", -1), "seed must be >= 0, got -1"),
         (("gradcheck", "--seed", -1), "seed must be >= 0, got -1"),
+        (("inspect-graph", "--n-nodes", 1, "--q", "full"), "need at least 2 nodes, got 1"),
     ])
     def test_bad_input_is_config_error_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                         argv, message):

@@ -31,12 +31,11 @@ from slicegraph.model import (
     init_params,
     model_forward,
     pass_forward,
-    prepare_graph,
 )
 
 
 def toy_graph(n=6, q=2, weight_fn=WeightFn.INVERSE_DM, spacing_z=0.015):
-    return prepare_graph(GraphSpec(n, q, spacing_z, weight_fn))
+    return GraphSpec(n, q, spacing_z, weight_fn)
 
 
 def toy_problem(variant, seed, n=6, d=4, n_labels=3, q=2):

@@ -16,6 +16,7 @@ from slicegraph.graph import (
     build_adjacency,
     edge_weight,
 )
+from slicegraph.model import prepare_graph
 
 S_Z_15MM = 1.5 / MM_PER_DM  # 1.5 mm slice spacing expressed in dm
 
@@ -47,10 +48,6 @@ class TestGraphSpec:
         with pytest.raises(ValueError, match="positive and finite"):
             GraphSpec(n_nodes=4, q=1, spacing_z=np.inf, weight_fn=WeightFn.INVERSE_DM)
 
-    def test_from_spacing_mm_converts_units(self):
-        spec = GraphSpec.from_spacing_mm(6, 2, 1.5, WeightFn.INVERSE_DM)
-        assert spec.spacing_z == pytest.approx(0.015)
-
     def test_fully_connected_predicate(self):
         assert not banded_spec(10, 8).is_fully_connected
         assert banded_spec(10, 9).is_fully_connected
@@ -58,7 +55,7 @@ class TestGraphSpec:
 
     def test_config_builds_spec_per_volume(self):
         cfg = GraphConfig(q=4, weight_fn=WeightFn.EXP_DECAY)
-        spec = cfg.spec_for(n_nodes=12, spacing_mm=2.0)
+        spec = prepare_graph(cfg, n_nodes=12, spacing_mm=2.0)
         assert spec.n_nodes == 12
         assert spec.q == 4
         assert spec.weight_fn is WeightFn.EXP_DECAY

@@ -78,7 +78,7 @@ def random_graph(rng, n_max=12):
     n = int(rng.integers(2, n_max + 1))
     q = int(rng.integers(1, n))
     wf = list(WeightFn)[int(rng.integers(len(WeightFn)))]
-    return prepare_graph(spec_of(n, q, wf, float(rng.uniform(0.005, 0.05))))
+    return spec_of(n, q, wf, float(rng.uniform(0.005, 0.05)))
 
 
 def held_arrays(obj):
@@ -111,7 +111,7 @@ class TestActivations:
 
 class TestChebLayer:
     def test_zero_input_stays_zero(self):
-        graph = prepare_graph(spec_of(4, 2))
+        graph = spec_of(4, 2)
         params = one_layer(Variant.CHEB, 5, cheb_k=3, thetas=np.ones((3, 5, 5)),
                            ff_weight=np.ones((5, 5)))
         out = layer_output(graph, np.zeros((4, 5)), params)
@@ -119,14 +119,14 @@ class TestChebLayer:
 
     def test_identity_composition_passes_positive_features(self):
         # K=1 identity filter + identity feedforward = plain ReLU
-        graph = prepare_graph(spec_of(3, 1))
+        graph = spec_of(3, 1)
         params = one_layer(Variant.CHEB, 2, thetas=np.eye(2)[None, :, :],
                            ff_weight=np.eye(2))
         x = np.array([[1.0, -1.0], [2.0, -2.0], [0.5, 0.0]])
         np.testing.assert_array_equal(layer_output(graph, x, params), relu(x))
 
     def test_two_node_hand_computed(self):
-        graph = prepare_graph(spec_of(2, 1))
+        graph = spec_of(2, 1)
         params = one_layer(Variant.CHEB, 1, cheb_k=2, thetas=np.ones((2, 1, 1)),
                            ff_weight=np.eye(1))
         out = layer_output(graph, np.array([[1.0], [0.0]]), params)
@@ -136,26 +136,26 @@ class TestChebLayer:
 class TestGraphConvLayer:
     def test_isolated_self_transform(self):
         # zero neighbour weights leave only the self path
-        graph = prepare_graph(spec_of(3, 1))
+        graph = spec_of(3, 1)
         params = one_layer(Variant.GRAPHCONV, 2, w_self=2.0 * np.eye(2))
         x = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
         np.testing.assert_array_equal(layer_output(graph, x, params), relu(2.0 * x))
 
     def test_pure_neighbour_pass_swaps_two_nodes(self):
-        graph = prepare_graph(spec_of(2, 1))
+        graph = spec_of(2, 1)
         params = one_layer(Variant.GRAPHCONV, 2, w_neigh=np.eye(2))
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(
             layer_output(graph, x, params), [[3.0, 4.0], [1.0, 2.0]])
 
     def test_zero_weights_and_bias_give_zero(self):
-        graph = prepare_graph(spec_of(4, 3))
+        graph = spec_of(4, 3)
         params = one_layer(Variant.GRAPHCONV, 3)
         out = layer_output(graph, np.random.default_rng(0).normal(size=(4, 3)), params)
         np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_edge_weights_scale_neighbour_messages(self):
-        graph = prepare_graph(spec_of(2, 1, WeightFn.INVERSE_DM))
+        graph = spec_of(2, 1, WeightFn.INVERSE_DM)
         w = build_adjacency(spec_of(2, 1, WeightFn.INVERSE_DM))[0, 1]
         params = one_layer(Variant.GRAPHCONV, 1, w_neigh=np.eye(1))
         out = layer_output(graph, np.array([[1.0], [3.0]]), params)
@@ -260,14 +260,14 @@ class TestTensorRoundTrip:
 
 class TestModelForward:
     def test_zero_features_zero_biases_give_zero_logits(self):
-        graph = prepare_graph(spec_of(5, 2))
+        graph = spec_of(5, 2)
         for variant in (Variant.CHEB, Variant.GRAPHCONV):
             params = init_params(4, 3, variant, seed=2)
             logits = model_forward(graph, np.zeros((5, 4)), params)
             np.testing.assert_array_equal(logits, np.zeros(3))
 
     def test_output_shape_at_full_scale_dims(self):
-        graph = prepare_graph(spec_of(80, 16, WeightFn.INVERSE_DM))
+        graph = spec_of(80, 16, WeightFn.INVERSE_DM)
         params = init_params(512, 18, Variant.CHEB, seed=0)
         h = np.random.default_rng(5).normal(size=(80, 512))
         assert model_forward(graph, h, params).shape == (18,)
@@ -275,8 +275,7 @@ class TestModelForward:
     @pytest.mark.parametrize("variant", [Variant.CHEB, Variant.GRAPHCONV])
     def test_permutation_invariance(self, variant):
         rng = np.random.default_rng(42)
-        spec = spec_of(9, 4, WeightFn.INVERSE_DM)
-        graph = prepare_graph(spec)
+        graph = spec_of(9, 4, WeightFn.INVERSE_DM)
         params = init_params(6, 4, variant, seed=1)
         h = rng.normal(size=(9, 6))
         adj = graph.adjacency
@@ -301,7 +300,7 @@ class TestModelForward:
         # blocks of different n_nodes and spacing in one pass, as a
         # mixed-volume step runs them
         rng = np.random.default_rng(13)
-        graphs = [prepare_graph(spec_of(n, 3, WeightFn.INVERSE_DM, spacing))
+        graphs = [spec_of(n, 3, WeightFn.INVERSE_DM, spacing)
                   for n, spacing in ((5, 0.01), (9, 0.025), (7, 0.05))]
         params = init_params(4, 3, variant, seed=4)
         blocks = list(zip(graphs, (3, 1, 2)))
@@ -316,7 +315,7 @@ class TestModelForward:
         # a pass of one graph takes the same path as a pass of many: its
         # samples as one block or as two give the same bits everywhere
         rng = np.random.default_rng(14)
-        graph = prepare_graph(spec_of(7, 3, WeightFn.INVERSE_DM))
+        graph = spec_of(7, 3, WeightFn.INVERSE_DM)
         params = init_params(5, 3, variant, seed=6)
         x = rng.normal(size=(3 * 7, 5))
         logits, layers, head = pass_forward([(graph, 3)], x, params)
@@ -335,9 +334,9 @@ class TestModelForward:
         blocks = []
         for weight_fn in WeightFn:
             for n in (2, 16, *rng.integers(3, 16, size=2)):
-                spec = GraphSpec.from_spacing_mm(int(n), int(rng.integers(1, n)),
-                                                 float(rng.uniform(0.5, 5.0)), weight_fn)
-                blocks.append((prepare_graph(spec), int(rng.integers(1, 4))))
+                graph_cfg = GraphConfig(int(rng.integers(1, n)), weight_fn)
+                blocks.append((prepare_graph(graph_cfg, int(n), float(rng.uniform(0.5, 5.0))),
+                               int(rng.integers(1, 4))))
         params = init_params(8, 3, Variant.CHEB, cheb_k=3, seed=5)
         z = rng.normal(size=(sum(b * graph.n_nodes for graph, b in blocks), 8))
         _, layers, _ = pass_forward(blocks, z, params)
@@ -354,7 +353,7 @@ class TestModelForward:
             z = relu(pre)
 
     def test_rejects_rows_unlike_the_blocks(self):
-        graph = prepare_graph(spec_of(4, 2))
+        graph = spec_of(4, 2)
         params = init_params(3, 2, Variant.CHEB, seed=0)
         with pytest.raises(ValueError):
             pass_forward([(graph, 2)], np.zeros((4, 3)), params)
@@ -372,7 +371,7 @@ class TestModelForward:
         got = predict(params, GraphOperatorCache(graph_cfg), samples)
         want = np.stack([
             sigmoid(model_forward(
-                prepare_graph(graph_cfg.spec_for(s.features.shape[0], s.spacing_z_mm)),
+                prepare_graph(graph_cfg, s.features.shape[0], s.spacing_z_mm),
                 s.features, params))
             for s in samples])
         np.testing.assert_allclose(got.scores, want, rtol=0, atol=1e-12)
@@ -391,13 +390,13 @@ class TestModelForward:
         cache = GraphOperatorCache(graph_cfg)
         predict(init_params(4, 2, variant, seed=3), cache, samples)
         graphs = list(cache._cache.values())
-        assert {g.spec for g in graphs} == {graph_cfg.spec_for(*key) for key in keys}
+        assert set(graphs) == {prepare_graph(graph_cfg, *key) for key in keys}
         assert sum(a.nbytes for a in held_arrays(cache)) == sum(8 * n * n for n, _ in keys)
         unused = "adjacency" if variant is Variant.CHEB else "lhat"
         assert not any(unused in vars(g) for g in graphs)
 
     def test_rejects_wrong_feature_width(self):
-        graph = prepare_graph(spec_of(4, 2))
+        graph = spec_of(4, 2)
         params = init_params(5, 2, Variant.CHEB, seed=0)
         with pytest.raises(ValueError):
             model_forward(graph, np.zeros((4, 3)), params)

@@ -1,13 +1,17 @@
 """Laplacian construction, spectrum scaling, and the Chebyshev filter
 against its eigendecomposition oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicegraph import spectral
 from slicegraph.errors import DegenerateSpectrumError
-from slicegraph.graph import GraphSpec, WeightFn, _gap_weight, build_adjacency
+from slicegraph.graph import GraphConfig, GraphSpec, WeightFn, _gap_weight, build_adjacency
 from slicegraph.model import Variant, init_params, pass_forward, per_graph, prepare_graph
 from slicegraph.spectral import (
     ScaledLaplacian,
@@ -98,7 +102,7 @@ class TestOperatorsMatchDenseFormulas:
     def test_adjacency_and_scaled_laplacian_bytes(self, weight_fn, n):
         for q in sorted({1, 2, 4, 16, n - 1, n + 5} - {0}):
             for spacing in self.SPACINGS_MM:
-                spec = GraphSpec.from_spacing_mm(n, q, spacing, weight_fn)
+                spec = prepare_graph(GraphConfig(q, weight_fn), n, spacing)
                 adjacency, lap = dense_operators(spec)
                 built = build_adjacency(spec)
                 assert built.tobytes() == adjacency.tobytes()
@@ -110,11 +114,11 @@ class TestOperatorsMatchDenseFormulas:
                     with pytest.raises(DegenerateSpectrumError):
                         scaled_laplacian_from_adjacency(built)
                     with pytest.raises(DegenerateSpectrumError):
-                        prepare_graph(spec).lhat
+                        spec.lhat
                     continue
                 top = lambda_max(lap)
                 expected = scale_laplacian(laplacian(built), top)
-                for lhat in (scaled_laplacian_from_adjacency(built), prepare_graph(spec).lhat):
+                for lhat in (scaled_laplacian_from_adjacency(built), spec.lhat):
                     assert lhat.lambda_max_used == top
                     assert lhat.values.tobytes() == expected.values.tobytes() == \
                         ((2.0 / top) * lap - np.eye(n)).tobytes()
@@ -151,7 +155,7 @@ class TestLambdaMax:
             for q in sorted({1, 4, 16, n - 1}):
                 for spacing in (0.625, 1.25, 2.5, 5.0):
                     lap = laplacian(build_adjacency(
-                        GraphSpec.from_spacing_mm(n, q, spacing, weight_fn)))
+                        prepare_graph(GraphConfig(q, weight_fn), n, spacing)))
                     dense = float(np.linalg.eigvalsh(lap)[-1])
                     assert abs(lambda_max(lap) - dense) <= 16 * np.spacing(dense), (n, q, spacing)
                     split += np.array_equal(lap, lap[::-1, ::-1])
@@ -273,7 +277,7 @@ class TestAdjoints:
     def test_graphconv_operator_is_self_adjoint_over_a_pass(self):
         rng = np.random.default_rng(36)
         # blocks of different n, as graph_passes forms them for mixed volumes
-        blocks = [(prepare_graph(band_spec(n)), b)
+        blocks = [(band_spec(n), b)
                   for n, b in ((5, 2), (8, 1), (3, 3))]
         rows = sum(graph.n_nodes * b for graph, b in blocks)
         x = rng.normal(size=(rows, 4))
@@ -290,7 +294,7 @@ class TestChebApply:
         # criterion 1 holds cheb_apply to the oracle, so it must be the
         # product the model's layers run, rounding included
         rng = np.random.default_rng((38, d, draw))
-        graph = prepare_graph(random_spec(rng))
+        graph = random_spec(rng)
         params = init_params(d, 2, Variant.CHEB, cheb_k=int(rng.integers(1, 5)), seed=draw)
         x = rng.normal(size=(graph.n_nodes, d))
         filtered = pass_forward([(graph, 1)], x, params)[1][0][1]
@@ -383,3 +387,16 @@ class TestOracle:
         assert isinstance(lhat, ScaledLaplacian)
         with pytest.raises(Exception):
             lhat.lambda_max_used = 1.0
+
+
+def test_spectral_imports_neither_graph_nor_model():
+    # graph builds its operators with spectral's matrix math, never the reverse
+    imported = set()
+    for node in ast.walk(ast.parse(Path(spectral.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("slicegraph." * (node.level > 0) + (node.module or "")).rstrip(".")
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    assert not [name for name in imported
+                if name.startswith(("slicegraph.graph", "slicegraph.model"))]
