@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,7 @@ from .experiments import (
     DEFAULT_SHIFTS,
     SHIFT_MODES,
     AblationGrid,
-    desk_train_config,
     format_ablation_text,
-    resolve_q,
     run_ablation,
     run_robustness_experiment,
     score,
@@ -97,7 +95,7 @@ def _list_of(kind, empty_ok=False) -> _Kind:
 @dataclass(frozen=True)
 class _Setting:
     """One setting: its config key (None for a flag-only setting), its kind,
-    its run default (None: the task's or the training's own), its flag and
+    its run default (None: its dataclass field's own), its flag and
     the commands that take it ("!" marks a required flag), and its ceiling."""
 
     key: str | None
@@ -134,7 +132,7 @@ _SETTINGS = {setting.dest: setting for setting in (
     *(_Setting(key, _FLOAT)
       for key in ("label_rate", "signal_scale", "noise_std", "spacing_z_mm")),
     _Setting("seed", _INT, 0, "--seed", _SEEDED),
-    # training; defaults in experiments.desk_train_config
+    # training; defaults in train.TrainConfig
     *(_Setting(key, _INT) for key in ("batch_size", "warmup_steps", "log_every")),
     _Setting("total_steps", _INT, most=10_000_000),
     *(_Setting(key, _FLOAT) for key in ("max_lr", "weight_decay", "beta1", "beta2")),
@@ -147,10 +145,11 @@ _SETTINGS = {setting.dest: setting for setting in (
     # the experiments
     _Setting("shifts", _list_of(_INT), DEFAULT_SHIFTS, "--shifts", ("robustness",)),
     _Setting("shift_mode", _one_of(SHIFT_MODES), "pad", "--mode", ("robustness",)),
-    _Setting("variants", _list_of(_one_of(Variant)), AblationGrid.variants),
-    _Setting("qs", _list_of(_Q), AblationGrid.qs),
-    _Setting("weight_fns", _list_of(_one_of(WeightFn)), AblationGrid.weight_fns),
-    _Setting("n_seeds", _INT, AblationGrid.n_seeds, "--seeds", ("ablate",), most=100),
+    # the ablation grid; defaults in experiments.AblationGrid
+    _Setting("variants", _list_of(_one_of(Variant))),
+    _Setting("qs", _list_of(_Q)),
+    _Setting("weight_fns", _list_of(_one_of(WeightFn))),
+    _Setting("n_seeds", _INT, flag="--seeds", commands=("ablate",), most=100),
     # flags only
     _Setting(None, _INT, 20, "--trials", ("gradcheck",), most=10_000),
     _Setting(None, _FLOAT, 1e-5, "--epsilon", ("gradcheck",)),
@@ -169,12 +168,11 @@ class Settings:
     shift_mode: str
     grid: AblationGrid
     micro: bool
-    q_full: bool  # q resolves to the largest volume's n_nodes - 1
 
 
 def _values(args) -> dict:
     """Each setting's flag, else its config value, else its run default; one
-    left to the task's or training's own default is absent. Each is checked."""
+    left to its dataclass field's default is absent. Each is checked."""
     path, values = getattr(args, "config", None), {}
     if path:
         try:
@@ -213,14 +211,14 @@ def build_settings(args) -> Settings:
         raise ConfigError(f"seed must be >= 0, got {values['seed']}")
     try:
         task = SynthTaskConfig(**_fields_in(SynthTaskConfig, values))
-        train_cfg = desk_train_config(**_fields_in(TrainConfig, values))
-        graph = GraphConfig(q=resolve_q(values["q"], task.n_nodes), weight_fn=values["weight_fn"])
+        train_cfg = TrainConfig(**_fields_in(TrainConfig, values))
+        graph = GraphConfig(q=values["q"], weight_fn=values["weight_fn"])
         grid = AblationGrid(**_fields_in(AblationGrid, values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return Settings(task=task, train=train_cfg, graph=graph, variant=Variant(values["variant"]),
                     shifts=values["shifts"], shift_mode=values["shift_mode"], grid=grid,
-                    micro=values["micro"], q_full=values["q"] == "full")
+                    micro=values["micro"])
 
 
 def _require_out(args) -> Path:
@@ -251,25 +249,20 @@ def _unlike(what, shape, source, source_shape) -> str:
             f"{source} has d={source_shape[0]}, n_labels={source_shape[1]}")
 
 
-def _load_splits(settings: Settings, data_dir, names, shape=None, source=None):
-    """The settings, then the named splits of a gen-data directory. Every
-    split must have the (d, n_labels) `shape` that `source` has (default:
-    the first split's), or BinaryFormatError is raised before anything
-    runs. With `q=full`, q resolves against the largest volume loaded."""
+def _load_splits(data_dir, names, shape=None, source=None):
+    """The named splits of a gen-data directory. Every split must have the
+    (d, n_labels) `shape` that `source` has (default: the first split's),
+    or BinaryFormatError is raised before anything runs."""
     base = Path(data_dir)
     splits = [read_dataset(base / name) for name in names]
     shapes = [(name, split[0].features.shape[1], split[0].labels.size)
               for name, split in zip(names, splits)]
     if shape is None:
         shape, source = shapes[0][1:], base / names[0]
-    n_nodes = [s.features.shape[0] for split in splits for s in split]
     for name, d, n_labels in shapes:
         if (d, n_labels) != shape:
             raise BinaryFormatError(_unlike(base / name, (d, n_labels), source, shape))
-    if settings.q_full:
-        settings = replace(settings, graph=replace(settings.graph,
-                                                   q=resolve_q("full", max(n_nodes))))
-    return (settings, *splits)
+    return splits
 
 
 def cmd_gen_data(args) -> int:
@@ -294,16 +287,17 @@ def cmd_train(args) -> int:
     out = _require_out(args)
     _remove_outputs(out, "checkpoint*.ctgc", "train_log.ndjson", "config.json", "metrics.json")
     if getattr(args, "data", None):
-        settings, train_set, val_set, test_set = _load_splits(
-            settings, args.data, ("train", "val", "test"))
+        train_set, val_set, test_set = _load_splits(args.data, ("train", "val", "test"))
+        task = {"seed": settings.task.seed}  # the data, not the task's keys, fixed the rest
     else:
         train_set, val_set, test_set = generate_task(settings.task)
-    result = train(train_set, val_set, settings.graph, settings.variant,
-                   settings.train, out_dir=out)
-    thresholds, report = score(result.params, result.graphs, val_set, test_set,
+        task = _config_dict(settings.task)
+    graphs = GraphOperatorCache(settings.graph)
+    result = train(train_set, val_set, graphs, settings.variant, settings.train, out_dir=out)
+    thresholds, report = score(result.params, graphs, val_set, test_set,
                                include_micro=settings.micro)
     write_json(out / "config.json", {
-        **_config_dict(settings.task), **_config_dict(settings.train, ("seed",)),
+        **task, **_config_dict(settings.train, ("seed",)),
         "q": settings.graph.q, "weight_fn": settings.graph.weight_fn.value,
         "variant": settings.variant.value})
     write_json(out / "metrics.json",
@@ -320,8 +314,7 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(args.checkpoint)
     shape = (params.layout.d, params.layout.n_labels)
     if getattr(args, "data", None):
-        settings, val_set, test_set = _load_splits(
-            settings, args.data, ("val", "test"), shape, args.checkpoint)
+        val_set, test_set = _load_splits(args.data, ("val", "test"), shape, args.checkpoint)
     else:
         task = settings.task
         if (task.d, task.n_labels) != shape:
@@ -383,8 +376,7 @@ def cmd_inspect_graph(args) -> int:
     values = _values(args)
     n_nodes, spacing_mm = values["n_nodes"], values["spacing_mm"]
     try:
-        graph = prepare_graph(GraphConfig(resolve_q(values["q"], n_nodes), values["weight_fn"]),
-                              n_nodes, spacing_mm)
+        graph = prepare_graph(GraphConfig(values["q"], values["weight_fn"]), n_nodes, spacing_mm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     degrees = graph.adjacency.sum(axis=1)

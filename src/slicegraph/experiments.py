@@ -1,10 +1,10 @@
-"""Experiment drivers: the desk-scale training recipe, scoring, the
-axial-shift robustness sweep, and the variant/connectivity/weighting
-ablation grid. Each returns its report; the CLI writes the files.
+"""The experiments: scoring, the axial-shift robustness sweep, and the
+variant/connectivity/weighting ablation grid. Each returns its report;
+the CLI writes the files.
 
-"Desk scale" is a task and schedule small enough to train in seconds on
-a laptop while keeping the full pipeline intact: `SynthTaskConfig`'s
-defaults and `desk_train_config`.
+Each runs at desk scale, a task and schedule small enough to train in
+seconds on a laptop while keeping the full pipeline intact: the defaults
+of `SynthTaskConfig` and `TrainConfig`.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Sample, SynthTaskConfig, apply_z_shift, generate_task
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .graph import GraphConfig, WeightFn
 from .metrics import MetricsReport, PredictionSet, evaluate, select_thresholds
 from .model import GraphOperatorCache, ModelParams, Variant, graph_passes, pass_forward, sigmoid
 from .train import TrainConfig, train
 
 __all__ = [
-    "desk_train_config",
     "predict",
     "score",
     "run_robustness_experiment",
@@ -39,37 +38,20 @@ DEFAULT_SHIFTS = (0, 2, 4, 8, 16)
 SHIFT_MODES = ("pad", "wrap")
 
 
-def desk_train_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Full-scale recipe shrunk to 2000 steps.
-
-    The warmup keeps its 10% share and the peak learning rate is raised
-    tenfold; the full-scale rate barely moves a fresh model in so few
-    steps.
-    """
-    base = TrainConfig(
-        batch_size=4,
-        max_lr=1e-3,
-        warmup_steps=200,
-        total_steps=2000,
-        weight_decay=0.01,
-        beta1=0.9,
-        beta2=0.99,
-        seed=seed,
-        log_every=50,
-    )
-    return replace(base, **overrides)
-
-
 def predict(params: ModelParams, graphs: GraphOperatorCache,
             samples: list[Sample]) -> PredictionSet:
     """Sigmoid scores and true labels for a list of samples, in input order;
     one forward pass per pass from `graph_passes`, whatever the samples'
     (n_nodes, spacing). The graphs come from, and are added to, `graphs`,
-    so every call of one command prepares each graph once."""
+    so every call of one command prepares each graph once. A logit that is
+    not finite raises NumericError: it has no score."""
     scores = np.empty((len(samples), params.layout.n_labels))
     for positions, blocks in graph_passes(graphs.get(s) for s in samples):
         rows = np.concatenate([samples[i].features for i in positions])
-        scores[positions] = sigmoid(pass_forward(blocks, rows, params)[0])
+        logits = pass_forward(blocks, rows, params)[0]
+        if not np.isfinite(logits).all():
+            raise NumericError("the model's logits are not finite")
+        scores[positions] = sigmoid(logits)
     labels = np.stack([s.labels for s in samples])
     return PredictionSet(scores, labels)
 
@@ -165,7 +147,7 @@ def run_robustness_experiment(task_cfg: SynthTaskConfig, graph_cfg: GraphConfig,
 class AblationGrid:
     """Cross product of model variant, neighbourhood size, and weighting.
 
-    A q of "full" resolves to n_nodes - 1 (fully connected) at run time.
+    Each q is a `GraphConfig` q: "full" is n_nodes - 1, fully connected.
     Each cell trains `n_seeds` times with consecutive seeds on the same
     dataset.
     """
@@ -184,13 +166,7 @@ class AblationGrid:
         object.__setattr__(self, "weight_fns",
                            tuple(WeightFn(w) for w in self.weight_fns))
         for q in self.qs:
-            if q != "full" and (not isinstance(q, int) or q < 1):
-                raise ValueError(f"q entries must be positive ints or 'full', got {q!r}")
-
-
-def resolve_q(q, n_nodes: int) -> int:
-    # "full" is at least 1, so on fewer than 2 nodes the node count is what fails
-    return max(n_nodes - 1, 1) if q == "full" else int(q)
+            GraphConfig(q)
 
 
 _CELL_METRICS = ("f1", "recall", "precision", "accuracy", "auroc")
@@ -217,16 +193,17 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
     out so that repeat runs match byte for byte.
     """
     train_set, val_set, test_set = generate_task(task_cfg)
+    # every volume of the task has n_nodes nodes, so each cell reports an integer q
+    qs = [task_cfg.n_nodes - 1 if q == "full" else q for q in grid.qs]
     cells = []
     for variant in grid.variants:
-        for q in grid.qs:
-            q_resolved = resolve_q(q, task_cfg.n_nodes)
+        for q in qs:
             for weight_fn in grid.weight_fns:
-                graphs = GraphOperatorCache(GraphConfig(q=q_resolved, weight_fn=weight_fn))
+                graphs = GraphOperatorCache(GraphConfig(q=q, weight_fn=weight_fn))
                 cell = {
                     "variant": variant.value,
-                    "q": q_resolved,
-                    "fully_connected": q_resolved >= task_cfg.n_nodes - 1,
+                    "q": q,
+                    "fully_connected": q >= task_cfg.n_nodes - 1,
                     "weight_fn": weight_fn.value,
                 }
                 started = time.perf_counter()
@@ -251,7 +228,7 @@ def run_ablation(task_cfg: SynthTaskConfig, train_cfg: TrainConfig,
         "train": {"total_steps": train_cfg.total_steps, "batch_size": train_cfg.batch_size,
                   "max_lr": train_cfg.max_lr, "base_seed": train_cfg.seed},
         "grid": {"variants": [v.value for v in grid.variants],
-                 "qs": [resolve_q(q, task_cfg.n_nodes) for q in grid.qs],
+                 "qs": qs,
                  "weight_fns": [w.value for w in grid.weight_fns],
                  "n_seeds": grid.n_seeds},
         "cells": cells,

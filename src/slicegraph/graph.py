@@ -100,14 +100,15 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class GraphConfig:
-    """Graph hyperparameters shared across samples; spacing comes per sample."""
+    """Graph hyperparameters shared across samples; spacing comes per sample.
+    A ``q`` of ``"full"`` is each volume's ``n_nodes - 1``: fully connected."""
 
-    q: int
+    q: int | str
     weight_fn: WeightFn = WeightFn.INVERSE_DM
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"neighbourhood size must be >= 1, got {self.q}")
+        if self.q != "full" and (isinstance(self.q, str) or self.q < 1):
+            raise ValueError(f"neighbourhood size must be >= 1 or 'full', got {self.q!r}")
         object.__setattr__(self, "weight_fn", WeightFn(self.weight_fn))
 
 

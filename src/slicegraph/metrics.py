@@ -40,7 +40,8 @@ class PredictionSet:
             raise ValueError(
                 f"scores {scores.shape} and labels {labels.shape} must be equal 2-D shapes"
             )
-        if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        # written so that a NaN score fails it too
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
             raise ValueError("scores must lie in [0, 1]")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0/1")

@@ -151,7 +151,8 @@ class ModelParams:
 
 def prepare_graph(graph_cfg: GraphConfig, n_nodes: int, spacing_mm: float) -> GraphSpec:
     """The graph of a volume of `n_nodes` nodes at z spacing `spacing_mm`."""
-    return GraphSpec(n_nodes, graph_cfg.q, spacing_mm / MM_PER_DM, graph_cfg.weight_fn)
+    q = n_nodes - 1 if graph_cfg.q == "full" else graph_cfg.q
+    return GraphSpec(n_nodes, q, spacing_mm / MM_PER_DM, graph_cfg.weight_fn)
 
 
 class GraphOperatorCache:

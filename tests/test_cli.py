@@ -24,12 +24,12 @@ import slicegraph.graph
 import slicegraph.model
 import slicegraph.spectral
 
-from slicegraph.checkpoint import load_checkpoint
+from slicegraph.checkpoint import load_checkpoint, save_checkpoint
 from slicegraph.cli import build_settings, main
 from slicegraph.data import Sample, SynthTaskConfig, read_dataset, write_dataset, write_features
-from slicegraph.experiments import AblationGrid, desk_train_config, run_robustness_experiment
+from slicegraph.experiments import AblationGrid, run_robustness_experiment
 from slicegraph.graph import GraphConfig, WeightFn
-from slicegraph.model import Variant, init_params
+from slicegraph.model import ModelParams, Variant, init_params, prepare_graph
 from slicegraph.train import TrainConfig
 
 TINY = {
@@ -247,6 +247,28 @@ class TestTrain:
         assert layout.d == 4
         assert layout.n_labels == 2
 
+    def test_config_of_a_data_run_leaves_out_the_task(self, tmp_path, tiny_config):
+        # the data's own shape: 9 nodes, 12 training volumes at 2.5 mm
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({**TINY, "n_nodes": 9, "spacing_z_mm": 2.5}))
+        data, first, second, third = (tmp_path / name for name in
+                                      ("data", "first", "second", "third"))
+        run_cli("gen-data", "--config", task, "--out", data)
+        assert run_cli("train", "--config", tiny_config, "--seed", 3, "--data", data,
+                       "--out", first) == 0
+        written = json.loads((first / "config.json").read_text())
+        assert written["seed"] == 3
+        assert not set(written) & {f.name for f in dataclasses.fields(SynthTaskConfig)
+                                   if f.name != "seed"}
+        # the file reads back to the same run, and task keys stay accepted
+        assert run_cli("train", "--config", first / "config.json", "--data", data,
+                       "--out", second) == 0
+        assert run_cli("train", "--config", task, "--seed", 3, "--data", data,
+                       "--out", third) == 0
+        for name in ("config.json", "checkpoint.ctgc", "metrics.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+            assert (third / name).read_bytes() == (first / name).read_bytes()
+
     def test_variant_flag_selects_graphconv(self, tmp_path, tiny_config):
         out = tmp_path / "run"
         assert run_cli("train", "--config", tiny_config, "--variant",
@@ -405,6 +427,11 @@ class TestTrain:
         norms = failure["grad_norms"]
         assert len(norms) == len(init_params(TINY["d"], TINY["n_labels"]).layout.entries)
         assert set(norms) == {None}  # NaN norms, written as null
+        # the step-2 checkpoint's parameters are finite, its scores are not
+        with np.errstate(all="ignore"):
+            assert run_cli("eval", "--config", config, "--out", tmp_path / "eval",
+                           "--checkpoint", out / "checkpoint_step0000002.ctgc") == 3
+        assert not (tmp_path / "eval" / "metrics.json").exists()
 
 
 class TestBlasThreadCount:
@@ -515,6 +542,19 @@ class TestEval:
         assert run_cli(*argv) == 4
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    def test_non_finite_logits_are_numeric_failure(self, tmp_path, tiny_config, capsys):
+        run, out = tmp_path / "run", tmp_path / "eval"
+        assert run_cli("train", "--config", tiny_config, "--out", run) == 0
+        params = load_checkpoint(run / "checkpoint.ctgc")
+        flat = params.flat.copy()
+        flat[0] = np.nan
+        save_checkpoint(run / "nan.ctgc", ModelParams(params.layout, flat))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", tiny_config, "--checkpoint", run / "nan.ctgc",
+                       "--out", out) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert not (out / "metrics.json").exists()
+
     def test_q_full_reads_no_train_split(self, tmp_path, tiny_config, monkeypatch):
         # train/ holds taller volumes (12 nodes) than val/ and test/ (6)
         tall = tmp_path / "tall.json"
@@ -533,9 +573,8 @@ class TestEval:
                             lambda path: read.append(Path(path).parent.name) or original(path))
         assert run_cli(*argv, "--q", "full", "--out", tmp_path / "q-full") == 0
         assert set(read) == {"val", "test"}
-        # q=full resolves against the 6-node volumes eval scores; a q of at
-        # least n_nodes - 1 connects every pair of nodes, so resolving it
-        # against train's 12 nodes would score the same bytes
+        # q=full is each scored volume's n_nodes - 1; a q of at least that
+        # connects every pair of nodes, so a q of 11 scores the same bytes
         assert run_cli(*argv, "--q", 11, "--out", tmp_path / "q-11") == 0
         assert (tmp_path / "q-full" / "metrics.json").read_bytes() == \
             (tmp_path / "q-11" / "metrics.json").read_bytes()
@@ -701,7 +740,7 @@ class TestRobustness:
                             lambda *a, **k: trained.append(a))
         with pytest.raises(ValueError, match="mode") as excinfo:
             run_robustness_experiment(SynthTaskConfig(n_nodes=6), GraphConfig(q=2),
-                                      desk_train_config(), mode="zigzag")
+                                      TrainConfig(), mode="zigzag")
         # the config check in front of every command allows the same modes,
         # and names the file and the key
         config = tmp_path / "config.json"
@@ -804,6 +843,21 @@ class TestConfigHandling:
         assert run_cli("train", "--config", first / "config.json", "--out", second) == 0
         for name in ("config.json", "checkpoint.ctgc", "metrics.json"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
+
+    def test_dataclass_settings_take_their_fields_defaults(self):
+        # seed is the one run seed that gen-data, train and gradcheck share
+        owned = {f.name for cls in (SynthTaskConfig, TrainConfig, AblationGrid)
+                 for f in dataclasses.fields(cls)} - {"seed"}
+        assert [s.key for s in SETTINGS if s.key in owned and s.default is not None] == []
+
+    def test_training_keys_left_out_are_train_configs_defaults(self, tmp_path):
+        recipe = dataclasses.asdict(TrainConfig())
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({key: value for key, value in TINY.items()
+                                    if key not in recipe}))
+        assert run_cli("train", "--config", task, "--out", tmp_path / "r") == 0
+        written = json.loads((tmp_path / "r" / "config.json").read_text())
+        assert {key: written[key] for key in recipe} == recipe
 
     def test_adam_eps_is_not_a_setting(self, tmp_path):
         path = tmp_path / "config.json"
@@ -955,7 +1009,7 @@ class TestConfigHandling:
         assert settings.task.seed == 3
         assert settings.train.seed == 3
 
-    def test_q_full_resolves_against_task_size(self, tmp_path):
+    def test_q_full_resolves_per_volume(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**TINY, "q": "full"}))
 
@@ -971,24 +1025,38 @@ class TestConfigHandling:
             micro = False
 
         settings = build_settings(Args())
-        assert settings.graph.q == TINY["n_nodes"] - 1
+        assert settings.graph.q == "full"
         assert settings.graph.weight_fn is WeightFn.EXP_DECAY
+        for n_nodes in (2, TINY["n_nodes"], 40):
+            assert prepare_graph(settings.graph, n_nodes, 1.5).q == n_nodes - 1
 
-    def test_q_full_resolves_against_loaded_data(self, tmp_path, tiny_config, capsys):
-        tall = tmp_path / "tall.json"
-        tall.write_text(json.dumps({**TINY, "n_nodes": 40}))
-        data, run = tmp_path / "data", tmp_path / "run"
-        run_cli("gen-data", "--config", tall, "--out", data)
-        assert run_cli("train", "--config", tiny_config, "--q", "full",
-                       "--data", data, "--out", run) == 0
-        assert json.loads((run / "config.json").read_text())["q"] == 39
-        # eval resolves "full" the same way
-        for q in ("full", "39"):
+    def test_q_full_is_written_back_and_resolved_per_loaded_volume(
+            self, tmp_path, tiny_config, monkeypatch):
+        data = tmp_path / "data"
+        write_mixed_volumes(data)  # volumes of 5 to 8 nodes
+        specs = []
+        original = slicegraph.model.prepare_graph
+        monkeypatch.setattr(slicegraph.model, "prepare_graph",
+                            lambda *args: specs.append(original(*args)) or specs[-1])
+
+        def train_and_eval(q):
+            assert run_cli("train", "--config", tiny_config, "--q", q, "--data", data,
+                           "--out", tmp_path / f"train-{q}") == 0
             assert run_cli("eval", "--config", tiny_config, "--q", q, "--data", data,
-                           "--checkpoint", run / "checkpoint.ctgc",
+                           "--checkpoint", tmp_path / f"train-{q}" / "checkpoint.ctgc",
                            "--out", tmp_path / f"eval-{q}") == 0
-        assert (tmp_path / "eval-full" / "metrics.json").read_bytes() == \
-            (tmp_path / "eval-39" / "metrics.json").read_bytes()
+
+        train_and_eval("full")
+        assert {(spec.n_nodes, spec.q) for spec in specs} == {(n, n - 1) for n in (5, 6, 7, 8)}
+        train_and_eval("7")
+        assert json.loads((tmp_path / "train-full" / "config.json").read_text())["q"] == "full"
+        # a q of at least each volume's n_nodes - 1 builds the same graphs
+        for name in ("checkpoint.ctgc", "metrics.json"):
+            assert (tmp_path / "train-full" / name).read_bytes() == \
+                (tmp_path / "train-7" / name).read_bytes()
+        full, seven = (json.loads((tmp_path / f"eval-{q}" / "metrics.json").read_text())
+                       for q in ("full", "7"))
+        assert {**full, "checkpoint": None} == {**seven, "checkpoint": None}
 
     def test_shifts_accept_list_in_config(self, tmp_path):
         path = tmp_path / "config.json"

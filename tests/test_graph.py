@@ -67,6 +67,25 @@ class TestGraphSpec:
             spec.q = 3
 
 
+class TestFullBand:
+    @pytest.mark.parametrize("weight_fn", list(WeightFn))
+    @pytest.mark.parametrize("spacing_mm", [0.625, 1.5, 2.5, 5.0])
+    def test_full_is_each_volumes_n_nodes_minus_one(self, weight_fn, spacing_mm):
+        for n in range(2, 131):
+            full = prepare_graph(GraphConfig("full", weight_fn), n, spacing_mm)
+            assert full.q == n - 1
+            for q in (n - 1, n + 7):
+                banded = prepare_graph(GraphConfig(q, weight_fn), n, spacing_mm)
+                assert full.adjacency.tobytes() == banded.adjacency.tobytes()
+                assert full.lhat.values.tobytes() == banded.lhat.values.tobytes()
+                assert full.lhat.lambda_max_used == banded.lhat.lambda_max_used
+
+    @pytest.mark.parametrize("q", ["fc", "Full", "", "4", 0, -3])
+    def test_any_other_string_or_q_below_one_is_a_value_error(self, q):
+        with pytest.raises(ValueError, match="neighbourhood size must be >= 1 or 'full'"):
+            GraphConfig(q)
+
+
 class TestEdgeSet:
     """The edge count inspect-graph reports, `GraphSpec.n_edges`."""
 

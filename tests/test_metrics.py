@@ -270,6 +270,10 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             PredictionSet(np.array([[1.2]]), np.array([[1]]))
 
+    def test_rejects_nan_scores(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PredictionSet(np.array([[0.5], [np.nan]]), np.array([[1], [0]]))
+
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
             PredictionSet(np.array([[0.5]]), np.array([[2]]))

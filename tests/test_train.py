@@ -34,14 +34,18 @@ def toy_samples(n_samples=3, n_nodes=5, d=4, n_labels=3, seed=3):
     ]
 
 
+# the paper-scale schedule, which the defaults shrink to 2000 steps
+PAPER_SCALE = TrainConfig(max_lr=1e-4, warmup_steps=20_000, total_steps=200_000)
+
+
 class TestTrainConfig:
-    def test_full_scale_defaults(self):
+    def test_defaults_are_the_recipe_every_command_runs(self):
         cfg = TrainConfig()
-        assert cfg.max_lr == 1e-4
-        assert cfg.warmup_steps == 20_000
-        assert cfg.total_steps == 200_000
+        assert (cfg.max_lr, cfg.warmup_steps, cfg.total_steps) == (1e-3, 200, 2000)
+        assert cfg.batch_size == 4
         assert (cfg.beta1, cfg.beta2) == (0.9, 0.99)
         assert cfg.weight_decay == 0.01
+        assert (cfg.seed, cfg.log_every) == (0, 50)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,20 +66,17 @@ class TestTrainConfig:
 
 class TestLrSchedule:
     def test_starts_at_zero(self):
-        assert lr_at(0, TrainConfig()) == 0.0
+        assert lr_at(0, PAPER_SCALE) == 0.0
 
     def test_peak_exactly_at_warmup_boundary(self):
-        cfg = TrainConfig()
-        assert lr_at(20_000, cfg) == pytest.approx(1e-4, rel=1e-15)
+        assert lr_at(20_000, PAPER_SCALE) == pytest.approx(1e-4, rel=1e-15)
 
     def test_decays_to_zero_at_horizon(self):
-        cfg = TrainConfig()
-        assert lr_at(200_000, cfg) == pytest.approx(0.0, abs=1e-20)
+        assert lr_at(200_000, PAPER_SCALE) == pytest.approx(0.0, abs=1e-20)
 
     def test_clamps_past_horizon(self):
-        cfg = TrainConfig()
-        assert lr_at(200_001, cfg) == 0.0
-        assert lr_at(10 ** 9, cfg) == 0.0
+        assert lr_at(200_001, PAPER_SCALE) == 0.0
+        assert lr_at(10 ** 9, PAPER_SCALE) == 0.0
 
     def test_linear_during_warmup(self):
         cfg = TrainConfig(max_lr=2e-3, warmup_steps=100, total_steps=1000)
