@@ -46,6 +46,11 @@ _HEADER = struct.Struct("<4sIIIId")
 
 _SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
 
+# Files per bulk read in `read_dataset`: enough that the per-chunk numpy
+# checks cost little per file, few enough that a chunk's file bytes add
+# little to peak memory over the samples kept.
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -217,15 +222,10 @@ def write_features(path, sample: Sample) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
-def read_features(path) -> Sample:
-    """Inverse of `write_features`; bit-exact round-trip for f32 features.
-    `path` is a str or a Path. The magic, the version and the file size
-    the header implies are checked first. Content that `Sample` rejects
-    (fewer than 2 nodes, no feature column, no label, a label byte other
-    than 0/1, non-finite features or spacing, spacing <= 0) raises
-    BinaryFormatError. Every message names `path`."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _parse_header(path, data: bytes) -> tuple[int, int, int, float]:
+    """(n_nodes, d, n_labels, spacing_z_mm) of a whole feature file's bytes,
+    after checking its magic, its version and the file size the header
+    implies. Every message names `path`."""
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:
         raise BadMagicError(
             f"{path}: not a feature file: expected magic {FEATURE_MAGIC!r}, got {data[:4]!r}"
@@ -245,6 +245,21 @@ def read_features(path) -> Sample:
         raise TruncatedPayloadError(
             f"{path}: feature payload: expected {expected} bytes, got {payload}"
         )
+    return n, d, n_labels, spacing
+
+
+def read_features(path) -> Sample:
+    """Inverse of `write_features`; bit-exact round-trip for f32 features.
+    `path` is a str or a Path. The magic, the version and the file size
+    the header implies are checked first. Content that `Sample` rejects
+    (fewer than 2 nodes, no feature column, no label, a label byte other
+    than 0/1, non-finite features or spacing, spacing <= 0) raises
+    BinaryFormatError. Every message names `path`. `read_dataset` reads
+    a directory's files in bulk and raises what this function raises
+    for the first file that fails."""
+    with open(path, "rb") as f:
+        data = f.read()
+    n, d, n_labels, spacing = _parse_header(path, data)
     labels = np.frombuffer(data, np.uint8, n_labels, _HEADER.size).copy()
     features = np.frombuffer(data, "<f4", n * d, _HEADER.size + n_labels).reshape(n, d).copy()
     try:
@@ -261,16 +276,75 @@ def write_dataset(directory, samples) -> None:
         write_features(directory / f"{i:05d}.ctgf", sample)
 
 
+def _read_file(path) -> bytes:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
+
+def _read_chunk(paths) -> list[Sample] | None:
+    """The samples of `paths`, or None if any file fails to read or any
+    check fails. Each file is opened once; the chunk's label bytes join
+    into one uint8 array and its feature payloads into one float32
+    array, and every rule `Sample` enforces runs once over the chunk.
+    The samples hold row views of the two arrays."""
+    try:
+        files = [_read_file(path) for path in paths]
+        headers = [_parse_header(path, data) for path, data in zip(paths, files)]
+    except (OSError, BinaryFormatError):
+        # read_features raises the error; its open names a directory
+        # that os.read would reject without a file name
+        return None
+    ns, ds, label_counts, spacings = zip(*headers)
+    spacings = np.array(spacings)
+    if (min(ns) < 2 or min(ds) < 1 or min(label_counts) < 1
+            or not ((spacings > 0) & (spacings < np.inf)).all()):
+        return None
+    top = _HEADER.size
+    labels = np.frombuffer(bytearray().join(
+        memoryview(data)[top:top + k] for data, k in zip(files, label_counts)), np.uint8)
+    features = np.frombuffer(bytearray().join(
+        memoryview(data)[top + k:] for data, k in zip(files, label_counts)), "<f4")
+    if not np.isfinite(features).all() or (labels > 1).any():
+        return None
+    samples = []
+    at = label_at = 0
+    for n, d, k, spacing in headers:
+        # the checks above are the ones Sample.__post_init__ would run;
+        # object.__setattr__, as a frozen dataclass's __init__ does, keeps
+        # the compact attribute storage a vars(sample) dict would replace
+        sample = object.__new__(Sample)
+        object.__setattr__(sample, "features", features[at:at + n * d].reshape(n, d))
+        object.__setattr__(sample, "labels", labels[label_at:label_at + k])
+        object.__setattr__(sample, "spacing_z_mm", spacing)
+        samples.append(sample)
+        at += n * d
+        label_at += k
+    return samples
+
+
 def read_dataset(directory) -> list[Sample]:
     """Every feature file in `directory`, in name order. All must share the
     first file's feature width d and label count; the first file that
-    does not raises BinaryFormatError."""
+    does not raises BinaryFormatError.
+
+    Files are read in chunks of a few hundred, each file opened once,
+    with `read_features`' checks run once per chunk over all its bytes.
+    A chunk that fails any check is read again file by file through
+    `read_features`, so the first failing file in name order raises
+    exactly what `read_features` raises for it. Every file is read
+    before the d and n_labels comparison."""
     # one listing, names compared as strings: the order of sorted(glob)
     names = sorted(name for name in os.listdir(directory) if name.endswith(".ctgf"))
     if not names:
         raise FileNotFoundError(f"no .ctgf files in {directory}")
     paths = [os.path.join(directory, name) for name in names]
-    samples = [read_features(p) for p in paths]
+    samples = []
+    for start in range(0, len(paths), _CHUNK):
+        chunk = paths[start:start + _CHUNK]
+        samples += _read_chunk(chunk) or [read_features(path) for path in chunk]
     d, n_labels = samples[0].features.shape[1], samples[0].labels.size
     for path, sample in zip(paths, samples):
         if (sample.features.shape[1], sample.labels.size) != (d, n_labels):

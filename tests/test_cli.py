@@ -18,7 +18,6 @@ import pytest
 
 import slicegraph
 import slicegraph.cli
-import slicegraph.data
 import slicegraph.experiments
 import slicegraph.graph
 import slicegraph.model
@@ -567,12 +566,16 @@ class TestEval:
         run_cli("train", "--config", tiny_config, "--data", data, "--out", run)
         argv = ("eval", "--config", tiny_config, "--data", data,
                 "--checkpoint", run / "checkpoint.ctgc")
-        read = []
-        original = slicegraph.data.read_features
-        monkeypatch.setattr(slicegraph.data, "read_features",
-                            lambda path: read.append(Path(path).parent.name) or original(path))
+        opened = []
+        original = os.open
+
+        def spy(path, *args, **kwargs):
+            opened.append(Path(path))
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
         assert run_cli(*argv, "--q", "full", "--out", tmp_path / "q-full") == 0
-        assert set(read) == {"val", "test"}
+        assert {p.parent.name for p in opened if p.suffix == ".ctgf"} == {"val", "test"}
         # q=full is each scored volume's n_nodes - 1; a q of at least that
         # connects every pair of nodes, so a q of 11 scores the same bytes
         assert run_cli(*argv, "--q", 11, "--out", tmp_path / "q-11") == 0

@@ -1,6 +1,8 @@
 """Synthetic task generation, axial shifts, and the feature-file format."""
 
+import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,40 @@ def small_cfg(**overrides):
                 local_labels=(0, 1), diffuse_labels=(2, 3), seed=0)
     base.update(overrides)
     return SynthTaskConfig(**base)
+
+
+# Header defects of a written feature file, each with the error it raises.
+HEADER_EDITS = {
+    "short": (lambda raw: raw[:-1], TruncatedPayloadError),
+    "long": (lambda raw: raw + b"\x00", TruncatedPayloadError),
+    "magic": (lambda raw: b"XXXX" + raw[4:], BadMagicError),
+    "version": (lambda raw: raw[:4] + b"\x63" + raw[5:], VersionMismatchError),
+    "header_only": (lambda raw: raw[:20], TruncatedPayloadError),
+    "stub": (lambda raw: raw[:3], BadMagicError),
+}
+
+
+def feature_file(n, d, labels, spacing=1.5, features=None):
+    """The bytes of a feature file, written field by field so that a test
+    can store what `Sample` itself rejects."""
+    if features is None:
+        features = np.zeros(n * d, dtype="<f4")
+    header = struct.pack("<4sIIIId", FEATURE_MAGIC, 1, n, d, len(labels), spacing)
+    return header + bytes(labels) + np.asarray(features, dtype="<f4").tobytes()
+
+
+# Content defects `Sample` rejects, as the whole bytes of one file.
+CONTENT_DEFECTS = {
+    "nan_feature": feature_file(3, 2, [1, 0], features=[0, 0, np.nan, 0, 0, 0]),
+    "inf_feature": feature_file(3, 2, [1, 0], features=[0, 0, 0, 0, 0, -np.inf]),
+    "label_byte_2": feature_file(3, 2, [0, 2]),
+    "one_node": feature_file(1, 2, [1, 0]),
+    "zero_spacing": feature_file(3, 2, [1, 0], spacing=0.0),
+    "inf_spacing": feature_file(3, 2, [1, 0], spacing=np.inf),
+    "nan_spacing": feature_file(3, 2, [1, 0], spacing=np.nan),
+    "no_feature_column": feature_file(3, 0, [1, 0]),
+    "no_label": feature_file(3, 2, []),
+}
 
 
 def random_sample(rng, n=6, d=5, n_labels=3):
@@ -378,12 +414,16 @@ class TestDatasetDirectory:
         expected = [p.name for p in sorted(Path(tmp_path).glob("*.ctgf"))]
         assert expected == [".h.ctgf", "10.ctgf", "9.ctgf", "B.ctgf", "a.ctgf"]
 
-        calls = []
-        original = slicegraph.data.read_features
-        monkeypatch.setattr(slicegraph.data, "read_features",
-                            lambda path: calls.append(Path(path).name) or original(path))
+        opened = []
+        original = os.open
+
+        def spy(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
         loaded = read_dataset(tmp_path)
-        assert calls == expected
+        assert opened == expected
         for name, sample in zip(expected, loaded):
             np.testing.assert_array_equal(sample.features, written[name].features)
             assert sample.spacing_z_mm == written[name].spacing_z_mm
@@ -412,14 +452,7 @@ class TestDatasetDirectory:
         with pytest.raises(BinaryFormatError, match="00002.ctgf"):
             read_dataset(tmp_path / "split")
 
-    @pytest.mark.parametrize("edit, error", [
-        (lambda raw: raw[:-1], TruncatedPayloadError),
-        (lambda raw: raw + b"\x00", TruncatedPayloadError),
-        (lambda raw: b"XXXX" + raw[4:], BadMagicError),
-        (lambda raw: raw[:4] + b"\x63" + raw[5:], VersionMismatchError),
-        (lambda raw: raw[:20], TruncatedPayloadError),
-        (lambda raw: raw[:3], BadMagicError),
-    ], ids=["short", "long", "magic", "version", "header_only", "stub"])
+    @pytest.mark.parametrize("edit, error", HEADER_EDITS.values(), ids=HEADER_EDITS)
     def test_headers_check_magic_version_and_size(self, tmp_path, edit, error):
         rng = np.random.default_rng(13)
         write_dataset(tmp_path / "split", [random_sample(rng) for _ in range(3)])
@@ -429,3 +462,83 @@ class TestDatasetDirectory:
                           (read_dataset, tmp_path / "split")):
             with pytest.raises(error, match="00001.ctgf"):
                 read(arg)
+
+
+class TestBulkRead:
+    """`read_dataset` reads a directory in chunks of files, checked per chunk;
+    these directories hold more files than one chunk."""
+
+    N_FILES = 320
+    BAD = 300
+
+    @pytest.fixture
+    def split(self, tmp_path):
+        assert slicegraph.data._CHUNK < self.BAD
+        rng = np.random.default_rng(14)
+        write_dataset(tmp_path / "split",
+                      [random_sample(rng, n=3, d=2, n_labels=2) for _ in range(self.N_FILES)])
+        return str(tmp_path / "split")
+
+    @staticmethod
+    def assert_raises_what_read_features_raises(directory, bad):
+        with pytest.raises(Exception) as alone:
+            read_features(bad)
+        with pytest.raises(type(alone.value)) as bulk:
+            read_dataset(directory)
+        assert type(bulk.value) is type(alone.value)
+        assert str(bulk.value) == str(alone.value)
+        assert os.path.basename(bad) in str(bulk.value)
+
+    @pytest.mark.parametrize("defect", [*HEADER_EDITS, *CONTENT_DEFECTS, "directory"])
+    def test_first_failing_file_raises_what_read_features_raises(self, split, defect):
+        bad = os.path.join(split, f"{self.BAD:05d}.ctgf")
+        if defect == "directory":
+            # os.read on a directory raises an error that names no file
+            os.remove(bad)
+            os.mkdir(bad)
+        elif defect in HEADER_EDITS:
+            edit, _ = HEADER_EDITS[defect]
+            Path(bad).write_bytes(edit(Path(bad).read_bytes()))
+        else:
+            Path(bad).write_bytes(CONTENT_DEFECTS[defect])
+        self.assert_raises_what_read_features_raises(split, bad)
+
+    def test_corrupt_file_wins_over_an_earlier_width_mismatch(self, split):
+        # every file is read before the d / n_labels comparison
+        rng = np.random.default_rng(15)
+        write_features(os.path.join(split, "00003.ctgf"), random_sample(rng, n=3, d=4, n_labels=2))
+        bad = os.path.join(split, f"{self.BAD:05d}.ctgf")
+        Path(bad).write_bytes(CONTENT_DEFECTS["label_byte_2"])
+        self.assert_raises_what_read_features_raises(split, bad)
+
+    def test_each_sample_equals_read_features(self, tmp_path):
+        rng = np.random.default_rng(16)
+        samples = [random_sample(rng, n=int(rng.integers(2, 9)), d=3, n_labels=5)
+                   for _ in range(slicegraph.data._CHUNK + 40)]
+        write_dataset(tmp_path / "split", samples)
+        loaded = read_dataset(tmp_path / "split")
+        paths = sorted((tmp_path / "split").glob("*.ctgf"))
+        assert len(loaded) == len(paths) == len(samples)
+        for path, bulk in zip(paths, loaded):
+            alone = read_features(path)
+            for a, b in ((bulk.features, alone.features), (bulk.labels, alone.labels)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+                assert (a.flags.c_contiguous, a.flags.writeable, a.flags.aligned) == \
+                    (b.flags.c_contiguous, b.flags.writeable, b.flags.aligned)
+            assert type(bulk.spacing_z_mm) is type(alone.spacing_z_mm)
+            assert bulk.spacing_z_mm == alone.spacing_z_mm
+
+    def test_peak_memory_is_the_samples_plus_about_two_chunks(self, tmp_path):
+        cfg = SynthTaskConfig(n_val=1000)
+        write_dataset(tmp_path / "split", generate_split(cfg, "val"))
+        file_size = (tmp_path / "split" / "00000.ctgf").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = read_dataset(tmp_path / "split")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 1000
+        # a chunk is about 256 files; a reader that joined the whole split fails
+        assert peak <= kept + 2 * 256 * file_size
